@@ -1,93 +1,73 @@
-"""Streaming set-partition enumeration via restricted growth strings.
+"""Set-partition enumeration via restricted growth strings.
 
-A coloring of m edges with exactly r colors, considered up to color renaming,
-is a set partition of the edge list into r nonempty classes.  Partitions are
-emitted as restricted growth strings: position i holds the block index of
-element i, blocks numbered by first appearance.
+A coloring of m edges with r colors, considered up to color renaming, is a
+set partition of the edge list into r nonempty classes.  Partitions are
+emitted as restricted growth strings (RGS): position i holds the block index
+of element i, blocks numbered by first appearance.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import lru_cache
-from typing import Iterator
 
 
 @lru_cache(maxsize=None)
+def completions(m_left: int, blocks: int, lo: int, hi: int) -> int:
+    """Number of RGS completions of m_left more positions, starting from
+    `blocks` blocks, that end with between lo and hi blocks."""
+    if m_left == 0:
+        return 1 if lo <= blocks <= hi else 0
+    total = blocks * completions(m_left - 1, blocks, lo, hi)
+    if blocks < hi:
+        total += completions(m_left - 1, blocks + 1, lo, hi)
+    return total
+
+
 def stirling2(m: int, r: int) -> int:
-    """Stirling number of the second kind via the direct recurrence
-    S(m,r) = r*S(m-1,r) + S(m-1,r-1)."""
-    if m == 0:
-        return 1 if r == 0 else 0
-    if r <= 0 or r > m:
-        return 0
-    return r * stirling2(m - 1, r) + stirling2(m - 1, r - 1)
+    """Stirling number of the second kind S(m, r): set partitions of m
+    elements into exactly r blocks."""
+    return completions(m, 0, r, r)
 
 
-def bell(m: int) -> int:
-    return sum(stirling2(m, r) for r in range(m + 1))
+def rainbow_pruned_partitions(
+    m: int, lo: int, hi: int, cuts: Iterable[tuple[int, ...]] = ()
+) -> tuple[list[tuple[int, ...]], int]:
+    """Every RGS of length m with lo..hi blocks, except those in which some
+    tuple of element indices in `cuts` is rainbow (its elements lie in
+    pairwise distinct blocks).
 
-
-class EdgePartitionCursor:
-    """Iterates every set partition of {0..m-1} into exactly r nonempty
-    blocks exactly once, as restricted growth strings."""
-
-    def __init__(self, m: int, r: int):
-        if m < 0 or r < 0:
-            raise ValueError(f"need m, r >= 0, got m={m}, r={r}")
-        self.m = m
-        self.r = r
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        m, r = self.m, self.r
-        if r > m or (m > 0 and r == 0):
-            return
-        if m == 0:
-            yield ()
-            return
-        rgs = [0] * m
-
-        def rec(pos: int, blocks: int) -> Iterator[tuple[int, ...]]:
-            if pos == m:
-                if blocks == r:
-                    yield tuple(rgs)
-                return
-            remaining = m - pos - 1
-            for b in range(min(blocks + 1, r)):
-                new_blocks = blocks if b < blocks else blocks + 1
-                # prune: must still be able to reach exactly r blocks
-                if new_blocks + remaining < r:
-                    continue
-                rgs[pos] = b
-                yield from rec(pos + 1, new_blocks)
-
-        yield from rec(0, 0)
-
-    def count(self) -> int:
-        return stirling2(self.m, self.r)
-
-
-def iter_all_partitions(m: int) -> Iterator[tuple[int, ...]]:
-    """Every set partition of {0..m-1} into any number of blocks, as
-    restricted growth strings."""
-    if m == 0:
-        yield ()
-        return
+    A tuple is tested as soon as its last element is assigned, and the whole
+    subtree below a rainbow tuple is skipped.  Returns the surviving RGS and
+    the exact number of RGS in the skipped subtrees, so survivors + skipped
+    is the sum of S(m, r) over r = lo..hi."""
+    if m < 0:
+        raise ValueError(f"need m >= 0, got m={m}")
+    finishing_at: list[list[tuple[int, ...]]] = [[] for _ in range(m)]
+    for ids in cuts:
+        finishing_at[max(ids)].append(ids)
     rgs = [0] * m
+    survivors: list[tuple[int, ...]] = []
+    skipped = 0
 
-    def rec(pos: int, blocks: int) -> Iterator[tuple[int, ...]]:
+    def rec(pos: int, blocks: int) -> None:
+        nonlocal skipped
         if pos == m:
-            yield tuple(rgs)
+            survivors.append(tuple(rgs))
             return
-        for b in range(blocks + 1):
+        remaining_after = m - pos - 1
+        for b in range(min(blocks + 1, hi)):
+            new_blocks = blocks if b < blocks else blocks + 1
+            if new_blocks + remaining_after < lo:
+                continue
             rgs[pos] = b
-            yield from rec(pos + 1, blocks if b < blocks else blocks + 1)
+            for ids in finishing_at[pos]:
+                if len({rgs[i] for i in ids}) == len(ids):
+                    skipped += completions(remaining_after, new_blocks, lo, hi)
+                    break
+            else:
+                rec(pos + 1, new_blocks)
 
-    yield from rec(0, 0)
-
-
-def blocks_of(rgs: tuple[int, ...]) -> list[list[int]]:
-    nblocks = max(rgs) + 1 if rgs else 0
-    out: list[list[int]] = [[] for _ in range(nblocks)]
-    for i, b in enumerate(rgs):
-        out[b].append(i)
-    return out
+    if m > 0 or lo <= 0 <= hi:
+        rec(0, 0)
+    return survivors, skipped

@@ -29,62 +29,22 @@ def _clique_edges(g: ColoredGraph, verts: tuple[int, ...]) -> tuple[tuple[int, i
     )
 
 
-def find_rainbow_clique(g: ColoredGraph, k: int) -> Witness | None:
-    """First k-clique (lexicographically smallest vertex list) whose C(k,2)
-    edges have pairwise distinct colors, or None."""
+def _rainbow_cliques(
+    g: ColoredGraph, k: int, limit: int | None
+) -> tuple[int, tuple[int, ...] | None]:
+    """Count the k-cliques whose C(k,2) edges have pairwise distinct colors,
+    in lexicographic order of their vertex lists, stopping once `limit` are
+    found (None: count all).  Returns the count and, if the search stopped
+    at `limit`, the clique it stopped at (so the first one for limit=1)."""
     if k < 1:
         raise ValueError(f"clique size must be positive, got k={k}")
     if k > g.n:
-        return None
-    if k == 1:
-        return Witness("rainbow-clique", (1,), ())
+        return 0, None
     cm = g.color_matrix
     adj = g.adj
-    full = ((1 << (g.n + 1)) - 2)  # bits 1..n
 
-    def rec(clique: list[int], cand: int, used: set[int]) -> tuple[int, ...] | None:
-        if len(clique) == k:
-            return tuple(clique)
-        for v in _iter_bits(cand):
-            row = cm[v]
-            new = []
-            ok = True
-            for u in clique:
-                col = row[u]
-                if col in used or col in new:
-                    ok = False
-                    break
-                new.append(col)
-            if not ok:
-                continue
-            used.update(new)
-            clique.append(v)
-            found = rec(clique, cand & adj[v] & ~((1 << (v + 1)) - 1), used)
-            clique.pop()
-            used.difference_update(new)
-            if found is not None:
-                return found
-        return None
-
-    verts = rec([], full, set())
-    if verts is None:
-        return None
-    return Witness("rainbow-clique", verts, _clique_edges(g, verts))
-
-
-def count_rainbow_cliques(g: ColoredGraph, k: int) -> int:
-    """Exact number of k-vertex subsets inducing a rainbow clique."""
-    if k < 1:
-        raise ValueError(f"clique size must be positive, got k={k}")
-    if k > g.n:
-        return 0
-    if k == 1:
-        return g.n
-    cm = g.color_matrix
-    adj = g.adj
-    full = ((1 << (g.n + 1)) - 2)
-
-    def rec(clique: list[int], cand: int, used: set[int]) -> int:
+    def rec(clique: list[int], cand: int, used: set[int], budget: int) -> int:
+        # on reaching the budget, returns without undoing `clique`
         total = 0
         last = len(clique) == k - 1
         for v in _iter_bits(cand):
@@ -101,37 +61,37 @@ def count_rainbow_cliques(g: ColoredGraph, k: int) -> int:
                 continue
             if last:
                 total += 1
+                if total == budget:
+                    clique.append(v)
+                    return total
                 continue
             used.update(new)
             clique.append(v)
-            total += rec(clique, cand & adj[v] & ~((1 << (v + 1)) - 1), used)
+            total += rec(clique, cand & adj[v] & ~((1 << (v + 1)) - 1), used, budget - total)
+            if total == budget:
+                return total
             clique.pop()
             used.difference_update(new)
         return total
 
-    return rec([], full, set())
+    clique: list[int] = []
+    # a budget of -1 is never reached: no limit
+    count = rec(clique, (1 << (g.n + 1)) - 2, set(), -1 if limit is None else limit)
+    return count, (tuple(clique) if clique else None)
 
 
-def count_rainbow_cliques_naive(g: ColoredGraph, k: int) -> int:
-    """All-subsets oracle, independent of the backtracking path."""
-    if k < 1:
-        raise ValueError(f"clique size must be positive, got k={k}")
-    if k == 1:
-        return g.n
-    cm = g.color_matrix
-    count = 0
-    for subset in combinations(range(1, g.n + 1), k):
-        cols = set()
-        ok = True
-        for u, v in combinations(subset, 2):
-            col = cm[u][v]
-            if col == 0 or col in cols:
-                ok = False
-                break
-            cols.add(col)
-        if ok:
-            count += 1
-    return count
+def find_rainbow_clique(g: ColoredGraph, k: int) -> Witness | None:
+    """First k-clique (lexicographically smallest vertex list) whose C(k,2)
+    edges have pairwise distinct colors, or None."""
+    _, verts = _rainbow_cliques(g, k, 1)
+    if verts is None:
+        return None
+    return Witness("rainbow-clique", verts, _clique_edges(g, verts))
+
+
+def count_rainbow_cliques(g: ColoredGraph, k: int) -> int:
+    """Exact number of k-vertex subsets inducing a rainbow clique."""
+    return _rainbow_cliques(g, k, None)[0]
 
 
 def find_rainbow_complete_bipartite(g: ColoredGraph, a: int, b: int) -> Witness | None:
@@ -249,7 +209,7 @@ def find_monochromatic_cycle(g: ColoredGraph, length: int) -> Witness | None:
     adj = g.adj
 
     def rec(path: list[int], color: int):
-        last = path[0] if len(path) == 0 else path[-1]
+        last = path[-1]
         if len(path) == length:
             if path[1] < path[-1] and cm[path[-1]][path[0]] == color:
                 return list(path)
@@ -360,46 +320,58 @@ def find_properly_colored_c4(g: ColoredGraph) -> Witness | None:
 # -- witness validation ----------------------------------------------------
 
 
+def _runs(verts: tuple[int, ...], pairs: set[tuple[int, int]]) -> list[list[int]]:
+    """Split the vertex list where consecutive vertices are joined by one of
+    `pairs`: the parts of a complete multipartite witness, listed part by
+    part."""
+    parts = [[verts[0]]]
+    for u, v in zip(verts, verts[1:]):
+        if (min(u, v), max(u, v)) in pairs:
+            parts.append([])
+        parts[-1].append(v)
+    return parts
+
+
 def validate_witness(g: ColoredGraph, w: Witness) -> bool:
-    """Re-check a witness against its host graph: every listed edge exists
-    with the stated color and the pattern predicate of `kind` holds."""
-    for u, v, c in w.edges:
-        if g.color_of(u, v) != c:
-            return False
+    """Re-check a witness against its host graph: its edges are exactly the
+    pattern's edges on `vertices` (for bipartite and Turan witnesses, parts
+    listed one after another), each with its color in g, and the colors
+    satisfy the predicate of `kind`."""
     verts = w.vertices
-    cols = [c for _, _, c in w.edges]
+    if not verts or len(set(verts)) != len(verts):
+        return False
+    if any(g.color_of(u, v) != c for u, v, c in w.edges):
+        return False
+    pairs = {(min(u, v), max(u, v)) for u, v, _ in w.edges}
+    ring = list(zip(verts, verts[1:] + verts[:1]))
     if w.kind == "rainbow-clique":
-        need = len(verts) * (len(verts) - 1) // 2
-        return (
-            len(set(verts)) == len(verts)
-            and len(w.edges) == need
-            and len(set(cols)) == need
-            and all(g.has_edge(u, v) for u, v in combinations(verts, 2))
-        )
-    if w.kind == "rainbow-bipartite":
-        return len(cols) == len(set(cols)) and len(set(verts)) == len(verts)
-    if w.kind == "rainbow-turan":
-        return len(cols) == len(set(cols)) and set(verts) == set(range(1, g.n + 1))
-    if w.kind == "mono-cycle":
-        n = len(verts)
-        return (
-            n >= 3
-            and len(set(verts)) == n
-            and len(set(cols)) == 1
-            and all(
-                g.has_edge(verts[i], verts[(i + 1) % n]) for i in range(n)
-            )
-        )
-    if w.kind == "mono-path":
-        n = len(verts)
-        return (
-            n >= 2
-            and len(set(verts)) == n
-            and len(set(cols)) == 1
-            and all(g.has_edge(verts[i], verts[i + 1]) for i in range(n - 1))
-        )
-    if w.kind == "proper-c4":
-        if len(verts) != 4 or len(set(verts)) != 4 or len(cols) != 4:
+        expected = list(combinations(verts, 2))
+    elif w.kind in ("rainbow-bipartite", "rainbow-turan"):
+        parts = _runs(verts, pairs)
+        if w.kind == "rainbow-bipartite" and len(parts) != 2:
             return False
-        return all(cols[i] != cols[(i + 1) % 4] for i in range(4))
-    return False
+        if w.kind == "rainbow-turan" and (
+            sorted(verts) != list(range(1, g.n + 1))
+            or tuple(sorted(map(len, parts), reverse=True))
+            != turan_partition(g.n, len(parts)).sizes
+        ):
+            return False
+        expected = [
+            (u, v) for i, a in enumerate(parts) for b in parts[i + 1:] for u in a for v in b
+        ]
+    elif w.kind == "mono-cycle" and len(verts) >= 3:
+        expected = ring
+    elif w.kind == "mono-path" and len(verts) >= 2:
+        expected = ring[:-1]
+    elif w.kind == "proper-c4" and len(verts) == 4:
+        expected = ring
+    else:
+        return False
+    if len(w.edges) != len(expected) or pairs != {(min(u, v), max(u, v)) for u, v in expected}:
+        return False
+    cols = [g.color_of(u, v) for u, v in expected]
+    if w.kind.startswith("rainbow-"):
+        return len(set(cols)) == len(cols)
+    if w.kind.startswith("mono-"):
+        return len(set(cols)) == 1
+    return all(cols[i] != cols[i - 1] for i in range(4))

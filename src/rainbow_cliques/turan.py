@@ -73,30 +73,3 @@ def thresholds(n: int, k: int) -> tuple[int, int]:
     else:
         existence = comb(n, 2) + turan_number(n, k - 2) + 2
     return existence - 1, existence
-
-
-def max_cross_edges_brute_force(n: int, k: int) -> int:
-    """Independent oracle: maximum cross-edge count over all partitions of n
-    labeled vertices into at most k parts, by enumerating part-size
-    compositions.  Cross edges depend only on the size multiset."""
-    if k <= 0:
-        raise ValueError(f"part count must be positive, got k={k}")
-    best = 0
-
-    def rec(remaining: int, parts_left: int, max_size: int, sizes: list[int]):
-        nonlocal best
-        if parts_left == 0:
-            if remaining == 0:
-                cross = sum(
-                    sizes[i] * sizes[j]
-                    for i in range(len(sizes))
-                    for j in range(i + 1, len(sizes))
-                )
-                best = max(best, cross)
-            return
-        lo = (remaining + parts_left - 1) // parts_left
-        for s in range(min(max_size, remaining), lo - 1, -1):
-            rec(remaining - s, parts_left - 1, s, sizes + [s])
-
-    rec(n, k, n, [])
-    return best

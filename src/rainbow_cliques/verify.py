@@ -13,7 +13,6 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import combinations
 from math import comb, log
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from .constructions import extremal, perturb_fresh_colors
 from .graph import ColoredGraph, format_ecg, parse_ecg, saturation
-from .partitions import iter_all_partitions, stirling2
+from .partitions import completions, rainbow_pruned_partitions, stirling2
 from .search import (
     count_rainbow_cliques,
     find_monochromatic_cycle,
@@ -59,21 +58,31 @@ def parse_report(text: str) -> VerificationReport:
     if not lines or not lines[0].startswith("LEMMA "):
         raise ValueError("report must start with a LEMMA line")
     fields = lines[0].split()
-    lemma_id = fields[1]
-    space = int(fields[fields.index("SPACE") + 1])
-    ce_count = int(fields[fields.index("CE") + 1])
-    ms = int(fields[fields.index("TIME") + 1])
+
+    def number(name: str) -> int:
+        try:
+            return int(fields[fields.index(name) + 1])
+        except (ValueError, IndexError):
+            raise ValueError(f"line 1: no integer {name} field in {lines[0]!r}") from None
+
+    space, ce_count, ms = number("SPACE"), number("CE"), number("TIME")
     ces = []
     pos = 1
-    for _ in range(ce_count):
+    for i in range(ce_count):
         while pos < len(lines) and not lines[pos].strip():
             pos += 1
+        if pos == len(lines):
+            raise ValueError(
+                f"line {pos + 1}: report ends before counterexample {i + 1} of {ce_count}"
+            )
         header = lines[pos].split()
+        if len(header) != 2 or not header[1].isdigit():
+            raise ValueError(f"line {pos + 1}: expected an ECG header 'n m', got {lines[pos]!r}")
         m = int(header[1])
         block = lines[pos:pos + m + 1]
         ces.append(parse_ecg("\n".join(block)))
         pos += m + 1
-    return VerificationReport(lemma_id, space, ces, ms / 1000.0)
+    return VerificationReport(fields[1], space, ces, ms / 1000.0)
 
 
 # -- Theorem: rainbow triangle above C(n,2)+n ------------------------------
@@ -82,7 +91,9 @@ def parse_report(text: str) -> VerificationReport:
 def verify_triangle_threshold(n: int) -> VerificationReport:
     """Enumerate every edge subset of K_n and every set partition of it into
     color classes; assert each coloring with e+c >= C(n,2)+n has a rainbow
-    triangle."""
+    triangle.  Only colorings at or above the threshold are generated, and a
+    subtree is skipped (with its size counted exactly) once a triangle is
+    rainbow, so the surviving colorings are exactly the counterexamples."""
     if not (3 <= n <= 5):
         raise ValueError(f"triangle verifier supports 3 <= n <= 5, got n={n}")
     t0 = time.perf_counter()
@@ -100,21 +111,18 @@ def verify_triangle_threshold(n: int) -> VerificationReport:
             for a, b, c in triples
             if (a, b) in edge_index and (a, c) in edge_index and (b, c) in edge_index
         ]
-        for rgs in iter_all_partitions(m):
-            space += 1
-            c = (max(rgs) + 1) if rgs else 0
-            if m + c < threshold:
-                continue
-            rainbow = any(
-                rgs[i] != rgs[j] and rgs[j] != rgs[k] and rgs[i] != rgs[k]
-                for i, j, k in tri_edge_ids
-            )
-            if not rainbow:
-                colors = {edges[i]: rgs[i] + 1 for i in range(m)}
-                ces.append(ColoredGraph(n, colors))
-    return VerificationReport(
+        lo = max(threshold - m, 0)
+        survivors, skipped = rainbow_pruned_partitions(m, lo, m, tri_edge_ids)
+        space += completions(m, 0, 0, lo - 1) + skipped + len(survivors)
+        for rgs in survivors:
+            ces.append(ColoredGraph(n, {edges[i]: rgs[i] + 1 for i in range(m)}))
+    report = VerificationReport(
         f"triangle-n{n}", space, ces, time.perf_counter() - t0
     )
+    # Bell(m) summed over the edge subsets is Bell(C(n,2)+1)
+    top = comb(n, 2) + 1
+    assert report.space_size == completions(top, 0, 0, top), "partition accounting mismatch"
+    return report
 
 
 # -- Lemma: K6 with 10 colors dichotomy ------------------------------------
@@ -123,20 +131,6 @@ def verify_triangle_threshold(n: int) -> VerificationReport:
 # completed as early as possible, which lets whole subtrees be skipped as soon
 # as a completed 4-subset is rainbow.
 _K6_EDGES = sorted(combinations(range(1, 7), 2), key=lambda e: (e[1], e[0]))
-
-
-@lru_cache(maxsize=None)
-def _completions_to(m_left: int, blocks: int, r: int) -> int:
-    """Number of restricted-growth completions of m_left more positions that
-    end with exactly r blocks, starting from `blocks` blocks."""
-    if m_left == 0:
-        return 1 if blocks == r else 0
-    total = 0
-    if blocks > 0:
-        total += blocks * _completions_to(m_left - 1, blocks, r)
-    if blocks < r:
-        total += _completions_to(m_left - 1, blocks + 1, r)
-    return total
 
 
 def verify_k6_dichotomy() -> VerificationReport:
@@ -155,6 +149,8 @@ def verify_k6_dichotomy() -> VerificationReport:
     for sub in combinations(range(1, 7), 4):
         ids = tuple(edge_index[e] for e in combinations(sub, 2))
         finishing_at[max(ids)].append(ids)
+    # sizes of skipped subtrees, by positions left and blocks used so far
+    skip_size = [[completions(left, b, r, r) for b in range(r + 1)] for left in range(m)]
     rgs = [0] * m
     survivors: list[tuple[int, ...]] = []
     space = 0
@@ -180,7 +176,7 @@ def verify_k6_dichotomy() -> VerificationReport:
                     break
             if vacuous:
                 # every completion contains this rainbow K4
-                space += _completions_to(remaining_after, new_blocks, r)
+                space += skip_size[remaining_after][new_blocks]
                 continue
             rec(pos + 1, new_blocks)
 
@@ -259,26 +255,6 @@ def _subsets_with_few_edges(adj: tuple[int, ...], size: int, min_edges: int):
     return None
 
 
-def canonical_form(adj: tuple[int, ...]) -> int:
-    """Canonical adjacency code: minimum over all vertex permutations of the
-    upper-triangle bit packing.  Vectorized; intended for n <= 8."""
-    n = len(adj)
-    A = np.zeros((n, n), dtype=np.uint8)
-    for i in range(n):
-        for j in range(n):
-            if adj[i] >> j & 1:
-                A[i, j] = 1
-    from itertools import permutations
-
-    perms = np.array(list(permutations(range(n))), dtype=np.int64)
-    B = A[perms[:, :, None], perms[:, None, :]]
-    iu, ju = np.triu_indices(n, k=1)
-    bits = B[:, iu, ju].astype(np.int64)
-    weights = 1 << np.arange(len(iu) - 1, -1, -1, dtype=np.int64)
-    codes = bits @ weights
-    return int(codes.min())
-
-
 def _mono_graph(adj: tuple[int, ...]) -> ColoredGraph:
     """Plain graph as a monochromatic ColoredGraph (for report embedding)."""
     n = len(adj)
@@ -342,13 +318,9 @@ def verify_k8_reduction() -> VerificationReport:
         space += 1
         if _subsets_with_few_edges(adj, 4, 2) is None:
             survivors.append(adj)
-    ces: list[ColoredGraph] = []
-    canon = set()
-    for adj in survivors:
-        canon.add(canonical_form(adj))
-        if not _two_disjoint_k4(adj):
-            ces.append(_mono_graph(adj))
-    if not ces and (len(survivors) != 35 or len(canon) != 1):
+    # any two disjoint K4s are isomorphic to K4 + K4, and C(8,4)/2 = 35
+    ces = [_mono_graph(adj) for adj in survivors if not _two_disjoint_k4(adj)]
+    if not ces and len(survivors) != 35:
         ces.extend(_mono_graph(a) for a in survivors)
     expected = [(17, 0, 0), (16, 1, 0), (16, 0, 1), (15, 2, 0)]
     assert verify_saturation_solutions(17, 32, 34) == expected, \
@@ -413,7 +385,7 @@ def verify_saturation_solutions(c_total: int, lo: int, hi: int) -> list[tuple[in
     return out
 
 
-def verify_tightness(n: int, k: int, seed: int = 0) -> VerificationReport:
+def verify_tightness(n: int, k: int) -> VerificationReport:
     """Assert the extremal construction sits exactly at the extremal
     threshold with no rainbow K_k, and that recoloring any single intra-part
     edge with a fresh color creates a rainbow K_k (exhaustive over intra-part
@@ -493,6 +465,8 @@ def supersaturation_experiment(
         raise ValueError(f"experiment supports k in {{3,4}}, got k={k}")
     if eps <= 0:
         raise ValueError(f"need eps > 0, got {eps}")
+    if len(set(ns)) < 2:
+        raise ValueError(f"a slope needs at least two distinct n, got {ns}")
     rows = []
     for n in ns:
         if n > 100:
@@ -502,6 +476,8 @@ def supersaturation_experiment(
             raise ValueError(f"target {target} exceeds the all-rainbow maximum at n={n}")
         g = perturb_fresh_colors(extremal(n, k), target, seed)
         cnt = count_rainbow_cliques(g, k)
+        if cnt == 0:
+            raise ValueError(f"no rainbow K_{k} at n={n}, so log(count) is undefined")
         rows.append((n, g.e + g.c, cnt))
     xs = [log(n) for n, _, _ in rows]
     ys = [log(cnt) for _, _, cnt in rows]

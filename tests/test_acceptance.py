@@ -8,7 +8,6 @@ from math import comb
 
 from rainbow_cliques import (
     count_rainbow_cliques,
-    count_rainbow_cliques_naive,
     counterexample_n7,
     delete_vertex,
     extremal,
@@ -28,8 +27,8 @@ from rainbow_cliques import (
     verify_tightness,
     verify_triangle_threshold,
 )
-from rainbow_cliques.turan import max_cross_edges_brute_force
 from conftest import random_colored_graph
+from oracles import count_rainbow_cliques_naive, max_cross_edges_brute_force
 
 
 def _gate(cid: str, ok: bool, elapsed: float, budget: float):

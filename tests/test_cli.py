@@ -83,3 +83,14 @@ def test_usage_error_exit_2(capsys):
     assert run(["construct", "extremal"]) == 2
     assert run(["nonsense"]) == 2
     assert run(["find", "x", "--pattern", "rainbow-clique"]) == 2
+
+
+def test_supersat_zero_count_exit_2(capsys):
+    assert run(["supersat", "--k", "4", "--ns", "4,5", "--eps", "0.1"]) == 2
+    err = capsys.readouterr().err
+    assert "no rainbow K_4 at n=4" in err and "math domain error" not in err
+
+
+def test_supersat_single_n_exit_2(capsys):
+    assert run(["supersat", "--k", "3", "--ns", "10,10", "--eps", "0.1"]) == 2
+    assert "at least two distinct n" in capsys.readouterr().err

@@ -1,7 +1,26 @@
+import random
+
 import pytest
 
-from rainbow_cliques import EdgePartitionCursor, bell, stirling2
-from rainbow_cliques.partitions import blocks_of, iter_all_partitions
+from rainbow_cliques import stirling2
+from rainbow_cliques.partitions import completions, rainbow_pruned_partitions
+from oracles import bell, blocks_of
+
+
+def exactly(m, r):
+    """Every RGS of length m with exactly r blocks, no cuts."""
+    survivors, skipped = rainbow_pruned_partitions(m, r, r)
+    assert skipped == 0
+    return survivors
+
+
+def all_rgs(m):
+    """Brute force: every restricted growth string of length m, each prefix
+    extended by every block used so far and by one new block."""
+    out = [()]
+    for _ in range(m):
+        out = [g + (b,) for g in out for b in range(max(g, default=-1) + 2)]
+    return out
 
 
 class TestStirling:
@@ -14,26 +33,32 @@ class TestStirling:
     def test_bell(self):
         assert [bell(m) for m in range(8)] == [1, 1, 2, 5, 15, 52, 203, 877]
 
+    def test_completions_sum_stirling_numbers(self):
+        for m in range(0, 9):
+            for lo in range(0, m + 2):
+                for hi in range(lo, m + 2):
+                    expect = sum(stirling2(m, r) for r in range(lo, hi + 1))
+                    assert completions(m, 0, lo, hi) == expect
+
 
 class TestCursor:
+    """Enumeration with exactly r blocks and no cuts."""
+
     def test_counts_match_recurrence_small(self):
         for m in range(0, 11):
             for r in range(0, m + 1):
-                emitted = sum(1 for _ in EdgePartitionCursor(m, r))
-                assert emitted == stirling2(m, r)
+                assert len(exactly(m, r)) == stirling2(m, r)
 
     def test_counts_match_recurrence_m15_edges(self):
         for r in (1, 2, 13, 14, 15):
-            emitted = sum(1 for _ in EdgePartitionCursor(15, r))
-            assert emitted == stirling2(15, r)
+            assert len(exactly(15, r)) == stirling2(15, r)
 
     def test_emits_each_partition_once(self):
         for m, r in ((6, 3), (7, 4), (8, 2)):
-            seen = set(EdgePartitionCursor(m, r))
-            assert len(seen) == stirling2(m, r)
+            assert len(set(exactly(m, r))) == stirling2(m, r)
 
     def test_restricted_growth_invariant(self):
-        for rgs in EdgePartitionCursor(7, 3):
+        for rgs in exactly(7, 3):
             top = -1
             for b in rgs:
                 assert b <= top + 1  # blocks indexed by first appearance
@@ -42,25 +67,53 @@ class TestCursor:
             assert all(block for block in blocks_of(rgs))
 
     def test_infeasible(self):
-        assert list(EdgePartitionCursor(3, 5)) == []
-        assert list(EdgePartitionCursor(3, 0)) == []
-        assert list(EdgePartitionCursor(0, 0)) == [()]
+        assert rainbow_pruned_partitions(3, 5, 5) == ([], 0)
+        assert rainbow_pruned_partitions(3, 0, 0) == ([], 0)
+        assert rainbow_pruned_partitions(0, 0, 0) == ([()], 0)
+        assert rainbow_pruned_partitions(0, 1, 3) == ([], 0)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
-            EdgePartitionCursor(-1, 2)
+            rainbow_pruned_partitions(-1, 2, 2)
 
 
 class TestAllPartitions:
+    """Enumeration over a range of block counts, with and without cuts."""
+
     def test_counts_are_bell(self):
         for m in range(0, 9):
-            assert sum(1 for _ in iter_all_partitions(m)) == bell(m)
+            survivors, skipped = rainbow_pruned_partitions(m, 0, m)
+            assert skipped == 0 and len(set(survivors)) == len(survivors) == bell(m)
 
     def test_blocks_round_trip(self):
-        for rgs in iter_all_partitions(5):
+        for rgs in rainbow_pruned_partitions(5, 0, 5)[0]:
             blocks = blocks_of(rgs)
             rebuilt = [None] * 5
             for b, block in enumerate(blocks):
                 for i in block:
                     rebuilt[i] = b
             assert tuple(rebuilt) == rgs
+
+    def test_matches_brute_force_filter_with_random_cuts(self):
+        rng = random.Random(20230815)
+        for m in range(0, 9):
+            every = all_rgs(m)
+            assert len(every) == bell(m)
+            for _ in range(12):
+                lo = rng.randint(0, m)
+                hi = rng.randint(lo, m)
+                cuts = [
+                    tuple(rng.sample(range(m), rng.randint(1, min(m, 4))))
+                    for _ in range(rng.randint(0, 4) if m else 0)
+                ]
+                survivors, skipped = rainbow_pruned_partitions(m, lo, hi, cuts)
+                in_range = [g for g in every if lo <= len(set(g)) <= hi]
+                expect = {
+                    g for g in in_range
+                    if not any(len({g[i] for i in ids}) == len(ids) for ids in cuts)
+                }
+                assert len(survivors) == len(set(survivors))
+                assert set(survivors) == expect
+                assert len(survivors) + skipped == len(in_range) == sum(
+                    stirling2(m, r) for r in range(lo, hi + 1)
+                )

@@ -6,7 +6,6 @@ import pytest
 from rainbow_cliques import (
     ColoredGraph,
     count_rainbow_cliques,
-    count_rainbow_cliques_naive,
     counterexample_n7,
     delete_vertex,
     extremal,
@@ -20,8 +19,11 @@ from rainbow_cliques import (
     lexicographic,
     perturb_fresh_colors,
     validate_witness,
+    Witness,
 )
+from rainbow_cliques.search import _rainbow_cliques
 from conftest import random_colored_graph, random_complete_colored_graph
+from oracles import count_rainbow_cliques_naive
 
 
 def rainbow_complete(n: int) -> ColoredGraph:
@@ -99,6 +101,23 @@ class TestCountRainbowCliques:
             g = random_colored_graph(rng, rng.randint(3, 9))
             for k in (3, 4):
                 assert count_rainbow_cliques(g, k) == count_rainbow_cliques_naive(g, k)
+
+    def test_limit_stops_at_the_limit_th_clique(self):
+        rng = random.Random(29)
+        for _ in range(60):
+            g = random_colored_graph(rng, rng.randint(3, 9))
+            for k in (1, 2, 3, 4):
+                # every rainbow k-clique, in lexicographic order
+                cliques = [
+                    sub for sub in combinations(range(1, g.n + 1), k)
+                    if None not in (cols := [g.color_of(u, v) for u, v in combinations(sub, 2)])
+                    and len(set(cols)) == len(cols)
+                ]
+                assert len(cliques) == count_rainbow_cliques_naive(g, k)
+                for limit in (1, 2, 5):
+                    count, stop = _rainbow_cliques(g, k, limit)
+                    assert count == min(len(cliques), limit)
+                    assert stop == (cliques[limit - 1] if len(cliques) >= limit else None)
 
     def test_find_iff_count_positive(self):
         rng = random.Random(29)
@@ -247,6 +266,34 @@ class TestWitnessValidation:
     def test_wrong_color_rejected(self):
         g = rainbow_complete(4)
         w = find_rainbow_clique(g, 3)
-        from rainbow_cliques import Witness
         bad = Witness(w.kind, w.vertices, tuple((u, v, c + 99) for u, v, c in w.edges))
         assert not validate_witness(g, bad)
+
+    def test_bipartite_and_turan_finders_validate(self):
+        rng = random.Random(43)
+        for _ in range(40):
+            n = rng.randint(4, 7)
+            g = random_complete_colored_graph(rng, n, rng.randint(n, 3 * n))
+            w = find_rainbow_complete_bipartite(g, 2, 2)
+            if w is not None:
+                assert validate_witness(g, w)
+            for r in range(1, 4):
+                hit = find_rainbow_turan(g, r)
+                if hit is not None:
+                    assert validate_witness(g, hit[1])
+
+    def test_bipartite_without_edges_rejected(self):
+        assert not validate_witness(
+            rainbow_complete(6), Witness("rainbow-bipartite", (1, 2, 3, 4), ())
+        )
+
+    def test_turan_with_one_edge_rejected(self):
+        g = rainbow_complete(4)
+        bad = Witness("rainbow-turan", (1, 3, 2, 4), ((1, 2, g.color_of(1, 2)),))
+        assert not validate_witness(g, bad)
+
+    def test_proper_c4_edges_off_the_cycle_rejected(self):
+        g = rainbow_complete(5)
+        # edges of the cycle 1-2-3-5, listed for the vertices 1, 2, 3, 4
+        edges = tuple((u, v, g.color_of(u, v)) for u, v in ((1, 2), (2, 3), (3, 5), (1, 5)))
+        assert not validate_witness(g, Witness("proper-c4", (1, 2, 3, 4), edges))

@@ -6,7 +6,7 @@ from rainbow_cliques import (
     turan_number,
     turan_partition,
 )
-from rainbow_cliques.turan import max_cross_edges_brute_force
+from oracles import max_cross_edges_brute_force
 
 
 class TestTuranNumber:

@@ -16,7 +16,6 @@ from rainbow_cliques import (
 )
 from rainbow_cliques.verify import (
     _subsets_with_few_edges,
-    canonical_form,
     labeled_regular_graphs,
 )
 
@@ -49,6 +48,10 @@ class TestTriangleThreshold:
         r = verify_triangle_threshold(4)
         assert r.ok and r.space_size == 877
 
+    def test_n5(self):
+        r = verify_triangle_threshold(5)
+        assert r.ok and r.space_size == 678570  # Bell(11)
+
     def test_range(self):
         with pytest.raises(ValueError):
             verify_triangle_threshold(6)
@@ -67,11 +70,6 @@ class TestRegularGraphEnumeration:
 
     def test_odd_degree_sum_empty(self):
         assert list(labeled_regular_graphs(5, 3)) == []
-
-    def test_canonical_form_invariant_under_relabeling(self):
-        g1 = (0b0110, 0b1001, 0b1001, 0b0110)  # C4 as 0-1-3-2-0
-        g2 = (0b1010, 0b0101, 0b1010, 0b0101)  # C4 as 0-1-2-3-0
-        assert canonical_form(g1) == canonical_form(g2)
 
 
 class TestK9Eliminations:
@@ -171,3 +169,11 @@ class TestReportFormat:
     def test_success_report(self):
         report = VerificationReport("x", 1, [], 0.0)
         assert parse_report(format_report(report)).ok
+
+    def test_missing_counterexample_block_names_the_line(self):
+        with pytest.raises(ValueError, match="^line 2: report ends before counterexample 1"):
+            parse_report("LEMMA x SPACE 1 CE 1 TIME 0")
+
+    def test_header_without_time_names_the_line(self):
+        with pytest.raises(ValueError, match="^line 1: no integer TIME field"):
+            parse_report("LEMMA x SPACE 1 CE 0")
