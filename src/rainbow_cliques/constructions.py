@@ -10,9 +10,10 @@ collisions are impossible and outputs are reproducible.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import combinations
 
-from .graph import ColoredGraph
+from .graph import ColoredGraph, is_complete
 from .turan import turan_partition
 
 
@@ -103,29 +104,29 @@ def perturb_fresh_colors(g: ColoredGraph, target_ec: int, seed: int) -> ColoredG
     """Recolor uniformly random (seeded) edges of monochromatic classes with
     fresh distinct colors until e(G)+c(G) >= target_ec.  The edge set never
     changes and the result is deterministic for a fixed seed."""
-    from .graph import is_complete
-
     if not is_complete(g):
         raise ValueError("perturbation requires a complete host graph")
     max_ec = 2 * g.e
     if target_ec > max_ec:
         raise ValueError(f"target e+c={target_ec} unreachable, maximum is {max_ec}")
     colors = dict(g.colors)
-    ec = g.e + len(set(colors.values()))
+    class_size = Counter(colors.values())
+    ec = g.e + len(class_size)
     if ec >= target_ec:
         return g
     rng = random.Random(seed)
-    next_color = max(colors.values()) + 1
-    class_size: dict[int, int] = {}
-    for c in colors.values():
-        class_size[c] = class_size.get(c, 0) + 1
+    next_color = max(class_size) + 1
+    # sorted once: classes only shrink and fresh classes stay singletons, so
+    # dropping each edge whose class falls to one keeps the list equal to a
+    # fresh sort of the edges in classes of two or more
+    candidates = sorted(e for e, c in colors.items() if class_size[c] >= 2)
     while ec < target_ec:
-        candidates = sorted(e for e, c in colors.items() if class_size[c] >= 2)
-        edge = candidates[rng.randrange(len(candidates))]
+        edge = candidates.pop(rng.randrange(len(candidates)))
         old = colors[edge]
         class_size[old] -= 1
+        if class_size[old] == 1:
+            candidates = [e for e in candidates if colors[e] != old]
         colors[edge] = next_color
-        class_size[next_color] = 1
         next_color += 1
         ec += 1
     return ColoredGraph(g.n, colors)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 
@@ -59,9 +60,12 @@ class ColoredGraph:
     """Immutable edge-colored simple graph on vertices 1..n."""
 
     n: int
-    colors: dict[tuple[int, int], int] = field(repr=False)
+    colors: Mapping[tuple[int, int], int] = field(repr=False)
 
     def __post_init__(self):
+        # a read-only view of a private copy, so the cached properties below
+        # cannot go stale and validation cannot be skipped
+        object.__setattr__(self, "colors", MappingProxyType(dict(self.colors)))
         if self.n <= 0:
             raise ValueError(f"vertex count must be positive, got {self.n}")
         for (u, v), c in self.colors.items():
@@ -69,18 +73,6 @@ class ColoredGraph:
                 raise ValueError(f"bad edge ({u},{v}) for n={self.n}")
             if c <= 0:
                 raise ValueError(f"nonpositive color {c} on edge ({u},{v})")
-
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int, int]]) -> "ColoredGraph":
-        colors: dict[tuple[int, int], int] = {}
-        for u, v, c in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            key = _edge_key(u, v)
-            if key in colors:
-                raise ValueError(f"duplicate edge {key}")
-            colors[key] = c
-        return cls(n, colors)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -122,15 +114,6 @@ class ColoredGraph:
 
     def degree(self, v: int) -> int:
         return bin(self.adj[v]).count("1")
-
-    def neighbors(self, v: int) -> list[int]:
-        m = self.adj[v]
-        out = []
-        while m:
-            b = m & -m
-            out.append(b.bit_length() - 1)
-            m ^= b
-        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ColoredGraph):

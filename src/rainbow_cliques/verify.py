@@ -14,12 +14,12 @@ import random
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import comb, log
+from math import comb, factorial, log
 
 import numpy as np
 
 from .constructions import extremal, perturb_fresh_colors
-from .graph import ColoredGraph, format_ecg, parse_ecg, saturation
+from .graph import ColoredGraph, ECGParseError, format_ecg, parse_ecg, saturation
 from .partitions import completions, rainbow_pruned_partitions, stirling2
 from .search import (
     count_rainbow_cliques,
@@ -80,7 +80,11 @@ def parse_report(text: str) -> VerificationReport:
             raise ValueError(f"line {pos + 1}: expected an ECG header 'n m', got {lines[pos]!r}")
         m = int(header[1])
         block = lines[pos:pos + m + 1]
-        ces.append(parse_ecg("\n".join(block)))
+        try:
+            ces.append(parse_ecg("\n".join(block)))
+        except ECGParseError as exc:
+            # renumber from the block's first line to the report's
+            raise ECGParseError(pos + exc.line_no, str(exc).partition(": ")[2]) from None
         pos += m + 1
     return VerificationReport(fields[1], space, ces, ms / 1000.0)
 
@@ -266,20 +270,6 @@ def _mono_graph(adj: tuple[int, ...]) -> ColoredGraph:
     return ColoredGraph(n, colors)
 
 
-def _two_disjoint_k4(adj: tuple[int, ...]) -> bool:
-    comps = _components(adj)
-    if len(comps) != 2:
-        return False
-    for comp in comps:
-        if len(comp) != 4:
-            return False
-        for i in comp:
-            for j in comp:
-                if i != j and not adj[i] >> j & 1:
-                    return False
-    return True
-
-
 def _components(adj: tuple[int, ...]) -> list[list[int]]:
     n = len(adj)
     seen = [False] * n
@@ -301,74 +291,58 @@ def _components(adj: tuple[int, ...]) -> list[list[int]]:
                 if not seen[w]:
                     seen[w] = True
                     stack.append(w)
-        comps.append(sorted(comp))
+        comps.append(comp)
     return comps
 
 
-def verify_k8_reduction() -> VerificationReport:
-    """Enumerate all labeled 3-regular graphs H on 8 vertices; keep those in
-    which every 4-subset spans >= 2 edges; assert the survivors are exactly
-    the 35 labeled copies of K4 + K4 (one isomorphism class).  Also check
-    that the (c2,c1,c0) solution list for c=17, 32 <= 2c2+c1 <= 34 matches
-    the four admissible tuples."""
+def _regular_reduction(lemma_id: str, n: int, d: int, size: int) -> VerificationReport:
+    """Enumerate all labeled d-regular graphs on n vertices; keep those in
+    which every `size`-subset spans >= 2 edges; assert the kept graphs are
+    exactly the disjoint unions of K_{d+1}.  A kept graph with a component of
+    another size is a counterexample (a d-regular component on d+1 vertices
+    is K_{d+1}), and all n!/((d+1)!^q q!) clique unions, q = n/(d+1), must be
+    kept: on a shortfall a second pass reports each one the filter dropped."""
     t0 = time.perf_counter()
-    space = 0
-    survivors = []
-    for adj in labeled_regular_graphs(8, 3):
+
+    def clique_union(adj: tuple[int, ...]) -> bool:
+        return all(len(comp) == d + 1 for comp in _components(adj))
+
+    space = kept = 0
+    ces: list[ColoredGraph] = []
+    for adj in labeled_regular_graphs(n, d):
         space += 1
-        if _subsets_with_few_edges(adj, 4, 2) is None:
-            survivors.append(adj)
-    # any two disjoint K4s are isomorphic to K4 + K4, and C(8,4)/2 = 35
-    ces = [_mono_graph(adj) for adj in survivors if not _two_disjoint_k4(adj)]
-    if not ces and len(survivors) != 35:
-        ces.extend(_mono_graph(a) for a in survivors)
+        if _subsets_with_few_edges(adj, size, 2) is None:
+            if clique_union(adj):
+                kept += 1
+            else:
+                ces.append(_mono_graph(adj))
+    q = n // (d + 1)
+    if kept != factorial(n) // (factorial(d + 1) ** q * factorial(q)):
+        ces.extend(
+            _mono_graph(adj)
+            for adj in labeled_regular_graphs(n, d)
+            if clique_union(adj) and _subsets_with_few_edges(adj, size, 2) is not None
+        )
+    return VerificationReport(lemma_id, space, ces, time.perf_counter() - t0)
+
+
+def verify_k8_reduction() -> VerificationReport:
+    """Assert that the labeled 3-regular graphs on 8 vertices in which every
+    4-subset spans >= 2 edges are exactly the 35 labeled copies of K4 + K4.
+    Also check that the (c2,c1,c0) solution list for c=17,
+    32 <= 2c2+c1 <= 34 matches the four admissible tuples."""
     expected = [(17, 0, 0), (16, 1, 0), (16, 0, 1), (15, 2, 0)]
     assert verify_saturation_solutions(17, 32, 34) == expected, \
         "saturation tally elimination list mismatch at c=17"
-    return VerificationReport("k8-reduction", space, ces, time.perf_counter() - t0)
-
-
-def _cycle_type(adj: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted((len(c) for c in _components(adj)), reverse=True))
+    return _regular_reduction("k8-reduction", 8, 3, 4)
 
 
 def verify_k9_reduction() -> VerificationReport:
-    """Enumerate all labeled 2-regular graphs on 9 vertices (disjoint cycle
-    covers with cycle lengths >= 3); keep those in which every 5-subset spans
-    >= 2 edges; assert only the 3+3+3 cycle type survives, and that the three
-    eliminated types (C9, C6+C3, C5+C4) each exhibit a violating 5-tuple."""
-    t0 = time.perf_counter()
-    space = 0
-    ces: list[ColoredGraph] = []
-    for adj in labeled_regular_graphs(9, 2):
-        space += 1
-        bad = _subsets_with_few_edges(adj, 5, 2)
-        if bad is None:
-            if _cycle_type(adj) != (3, 3, 3):
-                ces.append(_mono_graph(adj))
-        else:
-            if _cycle_type(adj) == (3, 3, 3):
-                ces.append(_mono_graph(adj))
-
-    # canonical representatives of the eliminated types, 0-based cycles
-    def cycle_adj(cycles: list[list[int]]) -> tuple[int, ...]:
-        adj = [0] * 9
-        for cyc in cycles:
-            for i, v in enumerate(cyc):
-                w = cyc[(i + 1) % len(cyc)]
-                adj[v] |= 1 << w
-                adj[w] |= 1 << v
-        return tuple(adj)
-
-    eliminated = [
-        cycle_adj([[0, 1, 2, 3, 4, 5, 6, 7, 8]]),
-        cycle_adj([[0, 1, 2, 3, 4, 5], [6, 7, 8]]),
-        cycle_adj([[0, 1, 2, 3, 4], [5, 6, 7, 8]]),
-    ]
-    for adj in eliminated:
-        if _subsets_with_few_edges(adj, 5, 2) is None:
-            ces.append(_mono_graph(adj))
-    return VerificationReport("k9-reduction", space, ces, time.perf_counter() - t0)
+    """Assert that the labeled 2-regular graphs on 9 vertices (disjoint cycle
+    covers with cycle lengths >= 3) in which every 5-subset spans >= 2 edges
+    are exactly the 280 labeled copies of C3 + C3 + C3, so the C9, C6+C3 and
+    C5+C4 types are all eliminated."""
+    return _regular_reduction("k9-reduction", 9, 2, 5)
 
 
 def verify_saturation_solutions(c_total: int, lo: int, hi: int) -> list[tuple[int, int, int]]:
@@ -424,6 +398,8 @@ def falsify_two_cliques(
         raise ValueError(
             f"two-cliques theorem covers n > k >= 6 or k=5, n >= 10; got k={k}, n={n}"
         )
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got trials={trials}")
     t0 = time.perf_counter()
     target = comb(n, 2) + turan_number(n, k - 2) + 2
     e = comb(n, 2)
@@ -432,21 +408,8 @@ def falsify_two_cliques(
     palette = max(target - e, 1)
     ces: list[ColoredGraph] = []
     for _ in range(trials):
-        colors = {edge: rng.randrange(1, palette + 1) for edge in all_edges}
-        class_size: dict[int, int] = {}
-        for c in colors.values():
-            class_size[c] = class_size.get(c, 0) + 1
-        ec = e + len(class_size)
-        next_color = palette + 1
-        while ec < target:
-            dup_edges = [edge for edge in all_edges if class_size[colors[edge]] >= 2]
-            edge = dup_edges[rng.randrange(len(dup_edges))]
-            class_size[colors[edge]] -= 1
-            colors[edge] = next_color
-            class_size[next_color] = 1
-            next_color += 1
-            ec += 1
-        g = ColoredGraph(n, colors)
+        g = ColoredGraph(n, {edge: rng.randrange(1, palette + 1) for edge in all_edges})
+        g = perturb_fresh_colors(g, target, rng.randrange(2**31))
         if count_rainbow_cliques(g, k) == 1:
             ces.append(g)
     return VerificationReport(

@@ -72,13 +72,15 @@ def test_criterion_04_k6_dichotomy():
 def test_criterion_05_k8_reduction():
     t0 = time.perf_counter()
     report = verify_k8_reduction()
-    _gate("5 k8-reduction", report.ok, time.perf_counter() - t0, 60.0)
+    ok = report.ok and report.space_size == 19355  # labeled cubic graphs on 8
+    _gate("5 k8-reduction", ok, time.perf_counter() - t0, 60.0)
 
 
 def test_criterion_06_k9_reduction():
     t0 = time.perf_counter()
     report = verify_k9_reduction()
-    _gate("6 k9-reduction", report.ok, time.perf_counter() - t0, 10.0)
+    ok = report.ok and report.space_size == 30016  # labeled 2-regular graphs on 9
+    _gate("6 k9-reduction", ok, time.perf_counter() - t0, 10.0)
 
 
 def test_criterion_07_saturation_solution_lists():

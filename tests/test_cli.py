@@ -53,6 +53,11 @@ def test_two_cliques_range_error(capsys):
     assert run(["verify", "two-cliques", "--n", "9", "--k", "5", "--trials", "1"]) == 2
 
 
+def test_two_cliques_zero_trials_exit_2(capsys):
+    assert run(["verify", "two-cliques", "--n", "8", "--k", "6", "--trials", "0"]) == 2
+    assert "at least one trial" in capsys.readouterr().err
+
+
 def test_supersat_csv(tmp_path, capsys):
     out = tmp_path / "rows.csv"
     rc = run([

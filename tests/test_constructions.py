@@ -184,3 +184,21 @@ class TestPerturbFreshColors:
         assert a == b
         assert set(a.colors) == set(base.colors)
         assert a.e + a.c >= 70
+
+    def test_pinned_output(self):
+        # a fixed seed must keep giving this exact recoloring
+        base = extremal(10, 4)
+        g = perturb_fresh_colors(base, 78, seed=2024)
+        assert g.e + g.c == 78
+        assert {e: c for e, c in g.colors.items() if base.colors[e] != c} == {
+            (2, 4): 28, (3, 4): 30, (6, 7): 29, (7, 8): 33,
+            (7, 9): 27, (7, 10): 32, (8, 9): 31,
+        }
+        # classes of two and three edges, so some fall to one edge on the way
+        from itertools import combinations
+        from rainbow_cliques import ColoredGraph
+        colors = {e: i % 7 + 1 for i, e in enumerate(combinations(range(1, 7), 2))}
+        g = perturb_fresh_colors(ColoredGraph(6, colors), 27, seed=11)
+        assert {e: c for e, c in g.colors.items() if colors[e] != c} == {
+            (2, 5): 8, (3, 5): 10, (3, 6): 11, (4, 6): 12, (5, 6): 9,
+        }

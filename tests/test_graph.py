@@ -169,6 +169,20 @@ class TestSaturation:
             assert delete_vertex(g, v).c == g.c - prof.ds[v]
 
 
+class TestImmutability:
+    def test_colors_reject_item_assignment(self):
+        g = rainbow_k4()
+        with pytest.raises(TypeError):
+            g.colors[(1, 3)] = 7
+
+    def test_caller_dict_is_copied(self):
+        colors = {(1, 2): 1, (2, 3): 2}
+        g = ColoredGraph(3, colors)
+        colors[(1, 3)] = 3
+        colors[(1, 2)] = 5
+        assert g.e == 2 and g.color_of(1, 2) == 1 and not g.has_edge(1, 3)
+
+
 class TestIsComplete:
     def test_k4(self):
         assert is_complete(rainbow_k4())

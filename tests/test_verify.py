@@ -2,6 +2,7 @@ import pytest
 
 from rainbow_cliques import (
     ColoredGraph,
+    ECGParseError,
     falsify_two_cliques,
     find_monochromatic_cycle,
     find_rainbow_turan,
@@ -14,6 +15,7 @@ from rainbow_cliques import (
     verify_triangle_threshold,
     VerificationReport,
 )
+from rainbow_cliques import verify
 from rainbow_cliques.verify import (
     _subsets_with_few_edges,
     labeled_regular_graphs,
@@ -108,6 +110,19 @@ class TestK9Eliminations:
         assert _subsets_with_few_edges(adj, 5, 2) is None
 
 
+class TestRegularReductionMutations:
+    def test_filter_keeping_nothing_fails_k8(self, monkeypatch):
+        monkeypatch.setattr(verify, "_subsets_with_few_edges", lambda adj, size, m: (0,))
+        r = verify.verify_k8_reduction()
+        # every dropped K4 + K4 is reported
+        assert len(r.counterexamples) == 35
+
+    def test_filter_keeping_everything_fails_k9(self, monkeypatch):
+        monkeypatch.setattr(verify, "_subsets_with_few_edges", lambda adj, size, m: None)
+        r = verify.verify_k9_reduction()
+        assert len(r.counterexamples) == 30016 - 280
+
+
 class TestK6VariantClassification:
     def test_turan_pair_branch(self):
         g = k6_variant("turan-pair")
@@ -173,6 +188,11 @@ class TestReportFormat:
     def test_missing_counterexample_block_names_the_line(self):
         with pytest.raises(ValueError, match="^line 2: report ends before counterexample 1"):
             parse_report("LEMMA x SPACE 1 CE 1 TIME 0")
+
+    def test_counterexample_block_error_names_the_report_line(self):
+        # the block's header is report line 3; its edge count runs out on line 4
+        with pytest.raises(ECGParseError, match="^line 4: declared 2 edges but found 1"):
+            parse_report("LEMMA x SPACE 1 CE 1 TIME 0\n\n3 2\n1 2 1\n")
 
     def test_header_without_time_names_the_line(self):
         with pytest.raises(ValueError, match="^line 1: no integer TIME field"):
