@@ -43,6 +43,18 @@ class UsageError(Exception):
     pass
 
 
+# pattern -> (flags it requires, its finder); the finders are looked up at
+# call time, so a patched module attribute is the one called
+_FINDERS = {
+    "rainbow-clique": (("k",), lambda g, a: find_rainbow_clique(g, a.k)),
+    "rainbow-bipartite": (("a", "b"), lambda g, a: find_rainbow_complete_bipartite(g, a.a, a.b)),
+    "rainbow-turan": (("r",), lambda g, a: find_rainbow_turan(g, a.r)),
+    "mono-cycle": (("length",), lambda g, a: find_monochromatic_cycle(g, a.length)),
+    "mono-path": (("length",), lambda g, a: find_monochromatic_path(g, a.length)),
+    "proper-c4": ((), lambda g, a: find_properly_colored_c4(g)),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="rbc",
@@ -68,14 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     f.add_argument(
         "--pattern",
         required=True,
-        choices=[
-            "rainbow-clique",
-            "rainbow-bipartite",
-            "rainbow-turan",
-            "mono-cycle",
-            "mono-path",
-            "proper-c4",
-        ],
+        choices=list(_FINDERS),
     )
     f.add_argument("--k", type=int)
     f.add_argument("--a", type=int)
@@ -173,34 +178,15 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_find(args) -> int:
     pattern = args.pattern
-    needed = {
-        "rainbow-clique": ["k"],
-        "rainbow-bipartite": ["a", "b"],
-        "rainbow-turan": ["r"],
-        "mono-cycle": ["length"],
-        "mono-path": ["length"],
-        "proper-c4": [],
-    }[pattern]
+    needed, find = _FINDERS[pattern]
     for name in needed:
         if getattr(args, name) is None:
             flag = "--len" if name == "length" else f"--{name}"
             raise UsageError(f"{pattern} requires {flag}")
-    g = _read_graph(args.file)
-    if pattern == "rainbow-clique":
-        w = find_rainbow_clique(g, args.k)
-    elif pattern == "rainbow-bipartite":
-        w = find_rainbow_complete_bipartite(g, args.a, args.b)
-    elif pattern == "rainbow-turan":
-        hit = find_rainbow_turan(g, args.r)
-        w = hit[1] if hit else None
-        if hit:
-            print(f"parts={list(hit[0].sizes)}")
-    elif pattern == "mono-cycle":
-        w = find_monochromatic_cycle(g, args.length)
-    elif pattern == "mono-path":
-        w = find_monochromatic_path(g, args.length)
-    else:
-        w = find_properly_colored_c4(g)
+    w = find(_read_graph(args.file), args)
+    if isinstance(w, tuple):  # a Turan hit: (partition, witness)
+        print(f"parts={list(w[0].sizes)}")
+        w = w[1]
     if w is None:
         print(f"{pattern}: absent")
         return EXIT_FAIL if args.require else EXIT_OK
@@ -281,10 +267,12 @@ _COMMANDS = {
 }
 
 
+_PARSER = _build_parser()
+
+
 def run(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

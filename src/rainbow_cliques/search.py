@@ -22,11 +22,37 @@ def _iter_bits(mask: int):
         mask ^= b
 
 
-def _clique_edges(g: ColoredGraph, verts: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
+def _cross(parts):
+    """The vertex pairs between distinct parts, part by part: every (u, v)
+    with u in an earlier part than v.  With single-vertex parts these are all
+    pairs of a clique, in `combinations` order."""
+    for i, a in enumerate(parts):
+        for b in parts[i + 1:]:
+            for u in a:
+                for v in b:
+                    yield u, v
+
+
+def _ring(verts, closed: bool) -> list[tuple[int, int]]:
+    """Consecutive pairs of a path on `verts`; with `closed`, also the pair
+    that closes it into a cycle."""
+    return list(zip(verts, verts[1:] + verts[:1] if closed else verts[1:]))
+
+
+def _witness(g: ColoredGraph, kind: str, verts, pairs) -> Witness:
     cm = g.color_matrix
-    return tuple(
-        (u, v, cm[u][v]) for u, v in combinations(sorted(verts), 2)
-    )
+    return Witness(kind, tuple(verts), tuple((min(u, v), max(u, v), cm[u][v]) for u, v in pairs))
+
+
+def _rainbow(cm, pairs) -> bool:
+    """Whether every pair is an edge and no two of them share a color."""
+    cols = set()
+    for u, v in pairs:
+        col = cm[u][v]
+        if col == 0 or col in cols:
+            return False
+        cols.add(col)
+    return True
 
 
 def _rainbow_cliques(
@@ -86,7 +112,7 @@ def find_rainbow_clique(g: ColoredGraph, k: int) -> Witness | None:
     _, verts = _rainbow_cliques(g, k, 1)
     if verts is None:
         return None
-    return Witness("rainbow-clique", verts, _clique_edges(g, verts))
+    return _witness(g, "rainbow-clique", verts, _cross([(v,) for v in verts]))
 
 
 def count_rainbow_cliques(g: ColoredGraph, k: int) -> int:
@@ -104,28 +130,12 @@ def find_rainbow_complete_bipartite(g: ColoredGraph, a: int, b: int) -> Witness 
     cm = g.color_matrix
     verts = range(1, g.n + 1)
     for A in combinations(verts, a):
-        aset = set(A)
-        rest = [v for v in verts if v not in aset]
+        rest = [v for v in verts if v not in A]
         for B in combinations(rest, b):
             if a == b and B[0] < A[0]:
                 continue  # unordered pair of parts
-            cols = set()
-            ok = True
-            for u in A:
-                row = cm[u]
-                for v in B:
-                    col = row[v]
-                    if col == 0 or col in cols:
-                        ok = False
-                        break
-                    cols.add(col)
-                if not ok:
-                    break
-            if ok:
-                edges = tuple(
-                    (min(u, v), max(u, v), cm[u][v]) for u in A for v in B
-                )
-                return Witness("rainbow-bipartite", A + B, edges)
+            if _rainbow(cm, _cross((A, B))):
+                return _witness(g, "rainbow-bipartite", A + B, _cross((A, B)))
     return None
 
 
@@ -159,41 +169,52 @@ def find_rainbow_turan(g: ColoredGraph, r: int) -> tuple[TuranPartition, Witness
     pairwise distinct colors, or None.  Exhaustive over balanced partitions."""
     if not (1 <= r <= g.n):
         raise ValueError(f"part count must satisfy 1 <= r <= n, got r={r}")
-    sizes = turan_partition(g.n, r).sizes
+    partition = turan_partition(g.n, r)
     cm = g.color_matrix
-    for parts in _balanced_partitions(g.n, sizes):
-        cols = set()
-        ok = True
-        for i in range(len(parts)):
-            for j in range(i + 1, len(parts)):
-                for u in parts[i]:
-                    row = cm[u]
-                    for v in parts[j]:
-                        col = row[v]
-                        if col == 0 or col in cols:
-                            ok = False
-                            break
-                        cols.add(col)
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            edges = tuple(
-                (min(u, v), max(u, v), cm[u][v])
-                for i in range(len(parts))
-                for j in range(i + 1, len(parts))
-                for u in parts[i]
-                for v in parts[j]
-            )
-            ordered = tuple(sorted(parts, key=len, reverse=True))
-            vertices = tuple(v for part in parts for v in part)
-            return (
-                TuranPartition(tuple(len(p) for p in ordered)),
-                Witness("rainbow-turan", vertices, edges),
-            )
+    for parts in _balanced_partitions(g.n, partition.sizes):
+        if _rainbow(cm, _cross(parts)):
+            vertices = [v for part in parts for v in part]
+            return partition, _witness(g, "rainbow-turan", vertices, _cross(parts))
+    return None
+
+
+def _mono_walk(g: ColoredGraph, nverts: int, closed: bool) -> list[int] | None:
+    """Lexicographically first walk on `nverts` distinct vertices whose edges
+    all share one color, or None.  With `closed` it is a cycle: the closing
+    edge has that color too and the first vertex is the smallest.  The
+    reverse of a hit is a hit, so the first one found has its second vertex
+    below its last (cycle) or its first endpoint below its last (path)."""
+    cm = g.color_matrix
+    # per color, adjacency bitmasks of that color class
+    by_color: dict[int, list[int]] = {}
+    for (u, v), c in g.colors.items():
+        masks = by_color.get(c)
+        if masks is None:
+            masks = by_color[c] = [0] * (g.n + 1)
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    path: list[int] = []
+
+    def rec(last: int, seen: int, masks: list[int]) -> bool:
+        if len(path) == nverts:
+            return not closed or masks[last] >> path[0] & 1 == 1
+        for v in _iter_bits(masks[last] & ~seen):
+            path.append(v)
+            if rec(v, seen | 1 << v, masks):
+                return True
+            path.pop()
+        return False
+
+    for start in range(1, g.n + 1):
+        # a cycle through a smaller vertex was tried from that vertex
+        seen = (1 << (start + 1)) - 1 if closed else 1 << start
+        path.append(start)
+        for v in _iter_bits(g.adj[start] & ~seen):
+            path.append(v)
+            if rec(v, seen | 1 << v, by_color[cm[start][v]]):
+                return path
+            path.pop()
+        path.pop()
     return None
 
 
@@ -205,44 +226,8 @@ def find_monochromatic_cycle(g: ColoredGraph, length: int) -> Witness | None:
         raise ValueError(f"cycle length must be >= 3, got {length}")
     if length > g.n:
         return None
-    cm = g.color_matrix
-    adj = g.adj
-
-    def rec(path: list[int], color: int):
-        last = path[-1]
-        if len(path) == length:
-            if path[1] < path[-1] and cm[path[-1]][path[0]] == color:
-                return list(path)
-            return None
-        for v in _iter_bits(adj[last] & ~(1 << path[0])):
-            if v in path:
-                continue
-            if v < path[0]:
-                continue
-            if cm[last][v] != color:
-                continue
-            path.append(v)
-            found = rec(path, color)
-            path.pop()
-            if found is not None:
-                return found
-        return None
-
-    for start in range(1, g.n + 1):
-        for v in _iter_bits(adj[start]):
-            if v < start:
-                continue
-            color = cm[start][v]
-            found = rec([start, v], color)
-            if found is not None:
-                edges = tuple(
-                    (min(found[i], found[(i + 1) % length]),
-                     max(found[i], found[(i + 1) % length]),
-                     color)
-                    for i in range(length)
-                )
-                return Witness("mono-cycle", tuple(found), edges)
-    return None
+    found = _mono_walk(g, length, True)
+    return None if found is None else _witness(g, "mono-cycle", found, _ring(found, True))
 
 
 def find_monochromatic_path(g: ColoredGraph, nverts: int) -> Witness | None:
@@ -252,36 +237,8 @@ def find_monochromatic_path(g: ColoredGraph, nverts: int) -> Witness | None:
         raise ValueError(f"path needs >= 2 vertices, got {nverts}")
     if nverts > g.n:
         return None
-    cm = g.color_matrix
-    adj = g.adj
-
-    def rec(path: list[int], color: int):
-        if len(path) == nverts:
-            if path[0] < path[-1]:
-                return list(path)
-            return None
-        last = path[-1]
-        for v in _iter_bits(adj[last]):
-            if v in path or cm[last][v] != color:
-                continue
-            path.append(v)
-            found = rec(path, color)
-            path.pop()
-            if found is not None:
-                return found
-        return None
-
-    for start in range(1, g.n + 1):
-        for v in _iter_bits(adj[start]):
-            color = cm[start][v]
-            found = rec([start, v], color)
-            if found is not None:
-                edges = tuple(
-                    (min(found[i], found[i + 1]), max(found[i], found[i + 1]), color)
-                    for i in range(nverts - 1)
-                )
-                return Witness("mono-path", tuple(found), edges)
-    return None
+    found = _mono_walk(g, nverts, False)
+    return None if found is None else _witness(g, "mono-path", found, _ring(found, False))
 
 
 def find_properly_colored_c4(g: ColoredGraph) -> Witness | None:
@@ -290,30 +247,19 @@ def find_properly_colored_c4(g: ColoredGraph) -> Witness | None:
     cm = g.color_matrix
     adj = g.adj
     for a in range(1, g.n + 1):
-        for b in _iter_bits(adj[a]):
-            if b <= a:
-                continue
+        above_a = ~((1 << (a + 1)) - 1)
+        for b in _iter_bits(adj[a] & above_a):
             cab = cm[a][b]
-            for c in _iter_bits(adj[b]):
-                if c == a or c <= a:
-                    continue
+            for c in _iter_bits(adj[b] & above_a):
                 cbc = cm[b][c]
                 if cbc == cab:
                     continue
-                for d in _iter_bits(adj[c] & adj[a]):
-                    if d <= b or d == a or d == c:
-                        continue
+                for d in _iter_bits(adj[c] & adj[a] & ~((1 << (b + 1)) - 1)):
                     ccd = cm[c][d]
                     cda = cm[d][a]
                     if ccd != cbc and ccd != cda and cda != cab:
                         verts = (a, b, c, d)
-                        edges = (
-                            (a, b, cab),
-                            (min(b, c), max(b, c), cbc),
-                            (min(c, d), max(c, d), ccd),
-                            (min(a, d), max(a, d), cda),
-                        )
-                        return Witness("proper-c4", verts, edges)
+                        return _witness(g, "proper-c4", verts, _ring(verts, True))
     return None
 
 
@@ -343,11 +289,9 @@ def validate_witness(g: ColoredGraph, w: Witness) -> bool:
     if any(g.color_of(u, v) != c for u, v, c in w.edges):
         return False
     pairs = {(min(u, v), max(u, v)) for u, v, _ in w.edges}
-    ring = list(zip(verts, verts[1:] + verts[:1]))
-    if w.kind == "rainbow-clique":
-        expected = list(combinations(verts, 2))
-    elif w.kind in ("rainbow-bipartite", "rainbow-turan"):
-        parts = _runs(verts, pairs)
+    if w.kind in ("rainbow-clique", "rainbow-bipartite", "rainbow-turan"):
+        # a clique is complete multipartite with single-vertex parts
+        parts = [(v,) for v in verts] if w.kind == "rainbow-clique" else _runs(verts, pairs)
         if w.kind == "rainbow-bipartite" and len(parts) != 2:
             return False
         if w.kind == "rainbow-turan" and (
@@ -356,15 +300,11 @@ def validate_witness(g: ColoredGraph, w: Witness) -> bool:
             != turan_partition(g.n, len(parts)).sizes
         ):
             return False
-        expected = [
-            (u, v) for i, a in enumerate(parts) for b in parts[i + 1:] for u in a for v in b
-        ]
-    elif w.kind == "mono-cycle" and len(verts) >= 3:
-        expected = ring
+        expected = list(_cross(parts))
+    elif w.kind == "mono-cycle" and len(verts) >= 3 or w.kind == "proper-c4" and len(verts) == 4:
+        expected = _ring(verts, True)
     elif w.kind == "mono-path" and len(verts) >= 2:
-        expected = ring[:-1]
-    elif w.kind == "proper-c4" and len(verts) == 4:
-        expected = ring
+        expected = _ring(verts, False)
     else:
         return False
     if len(w.edges) != len(expected) or pairs != {(min(u, v), max(u, v)) for u, v in expected}:

@@ -270,42 +270,19 @@ def _mono_graph(adj: tuple[int, ...]) -> ColoredGraph:
     return ColoredGraph(n, colors)
 
 
-def _components(adj: tuple[int, ...]) -> list[list[int]]:
-    n = len(adj)
-    seen = [False] * n
-    comps = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        stack = [s]
-        seen[s] = True
-        comp = []
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            m = adj[v]
-            while m:
-                b = m & -m
-                w = b.bit_length() - 1
-                m ^= b
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(comp)
-    return comps
-
-
 def _regular_reduction(lemma_id: str, n: int, d: int, size: int) -> VerificationReport:
     """Enumerate all labeled d-regular graphs on n vertices; keep those in
     which every `size`-subset spans >= 2 edges; assert the kept graphs are
-    exactly the disjoint unions of K_{d+1}.  A kept graph with a component of
-    another size is a counterexample (a d-regular component on d+1 vertices
-    is K_{d+1}), and all n!/((d+1)!^q q!) clique unions, q = n/(d+1), must be
+    exactly the disjoint unions of K_{d+1}.  A kept graph with an edge whose
+    ends have different closed neighbourhoods is a counterexample (equal ones
+    along every edge make each component a clique, and a d-regular clique is
+    K_{d+1}), and all n!/((d+1)!^q q!) clique unions, q = n/(d+1), must be
     kept: on a shortfall a second pass reports each one the filter dropped."""
     t0 = time.perf_counter()
 
     def clique_union(adj: tuple[int, ...]) -> bool:
-        return all(len(comp) == d + 1 for comp in _components(adj))
+        closed = [a | 1 << v for v, a in enumerate(adj)]
+        return all(closed[u] == c for c in closed for u in range(n) if c >> u & 1)
 
     space = kept = 0
     ces: list[ColoredGraph] = []

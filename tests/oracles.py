@@ -1,7 +1,7 @@
 """Brute-force reference oracles for the tests, independent of the search
 paths they check."""
 
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 from rainbow_cliques import ColoredGraph, stirling2
 
@@ -26,6 +26,83 @@ def count_rainbow_cliques_naive(g: ColoredGraph, k: int) -> int:
         if ok:
             count += 1
     return count
+
+
+# The finder oracles below try every candidate vertex tuple.  `combinations`
+# and `permutations` emit tuples in lexicographic order, so the first tuple
+# that passes is the least witness under the finder's canonical orientation.
+
+
+def _colors(g: ColoredGraph, pairs) -> list:
+    return [g.color_of(u, v) for u, v in pairs]
+
+
+def _rainbow(g: ColoredGraph, pairs) -> bool:
+    cols = _colors(g, pairs)
+    return None not in cols and len(set(cols)) == len(cols)
+
+
+def _one_color(g: ColoredGraph, pairs) -> bool:
+    cols = _colors(g, pairs)
+    return None not in cols and len(set(cols)) == 1
+
+
+def mono_path_naive(g: ColoredGraph, nverts: int) -> tuple[int, ...] | None:
+    """Least path (first endpoint below the last) on nverts distinct vertices
+    whose edges all share one color."""
+    return next((
+        p for p in permutations(range(1, g.n + 1), nverts)
+        if p[0] < p[-1] and _one_color(g, zip(p, p[1:]))
+    ), None)
+
+
+def mono_cycle_naive(g: ColoredGraph, length: int) -> tuple[int, ...] | None:
+    """Least cycle (smallest vertex first, second below the last) on
+    `length` distinct vertices whose edges all share one color."""
+    return next((
+        p for p in permutations(range(1, g.n + 1), length)
+        if p[0] == min(p) and p[1] < p[-1] and _one_color(g, zip(p, p[1:] + p[:1]))
+    ), None)
+
+
+def proper_c4_naive(g: ColoredGraph) -> tuple[int, ...] | None:
+    """Least 4-cycle (smallest vertex first, second below the last) whose
+    consecutive edges differ in color."""
+    for p in permutations(range(1, g.n + 1), 4):
+        cols = _colors(g, zip(p, p[1:] + p[:1]))
+        if p[0] == min(p) and p[1] < p[3] and None not in cols and all(
+            cols[i] != cols[i - 1] for i in range(4)
+        ):
+            return p
+    return None
+
+
+def rainbow_bipartite_naive(g: ColoredGraph, a: int, b: int) -> tuple[int, ...] | None:
+    """Least A + B over disjoint increasing vertex tuples of sizes a and b
+    (with A[0] < B[0] when a == b) whose a*b cross edges all exist with
+    pairwise distinct colors."""
+    verts = range(1, g.n + 1)
+    return next((
+        A + B for A in combinations(verts, a) for B in combinations(verts, b)
+        if not set(A) & set(B) and (a != b or A[0] < B[0])
+        and _rainbow(g, [(u, v) for u in A for v in B])
+    ), None)
+
+
+def rainbow_turan_exists_naive(g: ColoredGraph, r: int) -> bool:
+    """Whether some split of the vertices into r parts whose sizes differ by
+    at most one has all cross edges present with pairwise distinct colors."""
+    for labels in product(range(r), repeat=g.n):
+        sizes = [labels.count(i) for i in range(r)]
+        if min(sizes) == 0 or max(sizes) - min(sizes) > 1:
+            continue
+        pairs = [
+            (u, v) for u, v in combinations(range(1, g.n + 1), 2)
+            if labels[u - 1] != labels[v - 1]
+        ]
+        if _rainbow(g, pairs):
+            return True
+    return False
 
 
 def bell(m: int) -> int:

@@ -23,7 +23,14 @@ from rainbow_cliques import (
 )
 from rainbow_cliques.search import _rainbow_cliques
 from conftest import random_colored_graph, random_complete_colored_graph
-from oracles import count_rainbow_cliques_naive
+from oracles import (
+    count_rainbow_cliques_naive,
+    mono_cycle_naive,
+    mono_path_naive,
+    proper_c4_naive,
+    rainbow_bipartite_naive,
+    rainbow_turan_exists_naive,
+)
 
 
 def rainbow_complete(n: int) -> ColoredGraph:
@@ -242,6 +249,72 @@ class TestProperC4:
             g = perturb_fresh_colors(mono_complete(8), target, seed)
             assert g.e + g.c >= target
             assert find_properly_colored_c4(g) is not None
+
+
+def small_graphs(seed: int, count: int, max_n: int = 8):
+    """Seeded random colorings with n <= max_n, from one color up to all
+    distinct colors, so that every pattern is both found and missed."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(3, max_n)
+        palette = rng.choice((1, 2, 3, n, n * (n - 1) // 2))
+        density = rng.choice((0.5, 0.8, 1.0))
+        yield ColoredGraph(n, {
+            e: rng.randint(1, palette)
+            for e in combinations(range(1, n + 1), 2) if rng.random() < density
+        })
+
+
+class TestFindersAgainstOracles:
+    """Each finder returns the brute-force oracle's least witness, or None
+    exactly when the oracle finds none."""
+
+    def check(self, find, oracle, graphs):
+        outcomes = set()
+        for g in graphs:
+            w = find(g)
+            assert (w and w.vertices) == oracle(g)
+            outcomes.add(w is None)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("nverts", [2, 3, 4, 5])
+    def test_mono_path(self, nverts):
+        self.check(
+            lambda g: find_monochromatic_path(g, nverts),
+            lambda g: mono_path_naive(g, nverts),
+            small_graphs(51, 200),
+        )
+
+    @pytest.mark.parametrize("length", [3, 4, 5])
+    def test_mono_cycle(self, length):
+        self.check(
+            lambda g: find_monochromatic_cycle(g, length),
+            lambda g: mono_cycle_naive(g, length),
+            small_graphs(53, 200),
+        )
+
+    def test_proper_c4(self):
+        self.check(find_properly_colored_c4, proper_c4_naive, small_graphs(57, 200))
+
+    @pytest.mark.parametrize("a,b", [(1, 2), (2, 2), (2, 3)])
+    def test_rainbow_bipartite(self, a, b):
+        self.check(
+            lambda g: find_rainbow_complete_bipartite(g, a, b),
+            lambda g: rainbow_bipartite_naive(g, a, b),
+            small_graphs(59, 200),
+        )
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_rainbow_turan_exists_and_validates(self, r):
+        outcomes = set()
+        for g in small_graphs(61, 80, max_n=7):
+            if r > g.n:
+                continue
+            hit = find_rainbow_turan(g, r)
+            assert (hit is not None) == rainbow_turan_exists_naive(g, r)
+            assert hit is None or validate_witness(g, hit[1])
+            outcomes.add(hit is None)
+        assert outcomes == {True, False}
 
 
 class TestWitnessValidation:
