@@ -43,16 +43,41 @@ class UsageError(Exception):
     pass
 
 
-# pattern -> (flags it requires, its finder); the finders are looked up at
-# call time, so a patched module attribute is the one called
+# choice -> (flags it requires, its call), one table per subcommand; the
+# calls are looked up at call time, so a patched module attribute is the one
+# called
+_CONSTRUCTIONS = {
+    "extremal": (("n", "k"), lambda a: extremal(a.n, a.k)),
+    "lexicographic": (("n",), lambda a: lexicographic(a.n)),
+    "k6-variant": (("which",), lambda a: k6_variant(a.which)),
+    "counterexample-n7": ((), lambda a: counterexample_n7()),
+}
+
 _FINDERS = {
     "rainbow-clique": (("k",), lambda g, a: find_rainbow_clique(g, a.k)),
     "rainbow-bipartite": (("a", "b"), lambda g, a: find_rainbow_complete_bipartite(g, a.a, a.b)),
     "rainbow-turan": (("r",), lambda g, a: find_rainbow_turan(g, a.r)),
-    "mono-cycle": (("length",), lambda g, a: find_monochromatic_cycle(g, a.length)),
-    "mono-path": (("length",), lambda g, a: find_monochromatic_path(g, a.length)),
+    "mono-cycle": (("len",), lambda g, a: find_monochromatic_cycle(g, a.len)),
+    "mono-path": (("len",), lambda g, a: find_monochromatic_path(g, a.len)),
     "proper-c4": ((), lambda g, a: find_properly_colored_c4(g)),
 }
+
+_LEMMAS = {
+    "triangle-n3": ((), lambda a: verify_triangle_threshold(3)),
+    "triangle-n4": ((), lambda a: verify_triangle_threshold(4)),
+    "triangle-n5": ((), lambda a: verify_triangle_threshold(5)),
+    "k6-dichotomy": ((), lambda a: verify_k6_dichotomy()),
+    "k8-reduction": ((), lambda a: verify_k8_reduction()),
+    "k9-reduction": ((), lambda a: verify_k9_reduction()),
+    "tightness": (("n", "k"), lambda a: verify_tightness(a.n, a.k)),
+    "two-cliques": (("n", "k"), lambda a: falsify_two_cliques(a.k, a.n, a.trials, a.seed)),
+}
+
+
+def _require(command: str, choice: str, needed: tuple[str, ...], args) -> None:
+    if any(getattr(args, name) is None for name in needed):
+        flags = " and ".join(f"--{name}" for name in needed)
+        raise UsageError(f"{command} {choice} requires {flags}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -63,10 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("construct", help="generate a named coloring as ECG")
-    c.add_argument(
-        "target",
-        choices=["extremal", "lexicographic", "k6-variant", "counterexample-n7"],
-    )
+    c.add_argument("target", choices=list(_CONSTRUCTIONS))
     c.add_argument("--n", type=int)
     c.add_argument("--k", type=int)
     c.add_argument("--which", choices=["turan-pair", "mono-c6"])
@@ -77,16 +99,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     f = sub.add_parser("find", help="search for a colored pattern")
     f.add_argument("file")
-    f.add_argument(
-        "--pattern",
-        required=True,
-        choices=list(_FINDERS),
-    )
+    f.add_argument("--pattern", required=True, choices=list(_FINDERS))
     f.add_argument("--k", type=int)
     f.add_argument("--a", type=int)
     f.add_argument("--b", type=int)
     f.add_argument("--r", type=int)
-    f.add_argument("--len", type=int, dest="length")
+    f.add_argument("--len", type=int, metavar="LENGTH")
     f.add_argument("--require", action="store_true")
 
     cn = sub.add_parser("count", help="count rainbow k-cliques")
@@ -94,19 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cn.add_argument("--k", type=int, required=True)
 
     v = sub.add_parser("verify", help="run a lemma verifier")
-    v.add_argument(
-        "lemma",
-        choices=[
-            "triangle-n3",
-            "triangle-n4",
-            "triangle-n5",
-            "k6-dichotomy",
-            "k8-reduction",
-            "k9-reduction",
-            "tightness",
-            "two-cliques",
-        ],
-    )
+    v.add_argument("lemma", choices=list(_LEMMAS))
     v.add_argument("--n", type=int)
     v.add_argument("--k", type=int)
     v.add_argument("--trials", type=int, default=10000)
@@ -144,20 +150,9 @@ def _emit(text: str, out: str | None):
 
 
 def _cmd_construct(args) -> int:
-    if args.target == "extremal":
-        if args.n is None or args.k is None:
-            raise UsageError("construct extremal requires --n and --k")
-        g = extremal(args.n, args.k)
-    elif args.target == "lexicographic":
-        if args.n is None:
-            raise UsageError("construct lexicographic requires --n")
-        g = lexicographic(args.n)
-    elif args.target == "k6-variant":
-        if args.which is None:
-            raise UsageError("construct k6-variant requires --which")
-        g = k6_variant(args.which)
-    else:
-        g = counterexample_n7()
+    needed, construct = _CONSTRUCTIONS[args.target]
+    _require("construct", args.target, needed, args)
+    g = construct(args)
     _emit(format_ecg(g), args.out)
     if args.out:
         print(f"wrote {args.target}: n={g.n} e={g.e} c={g.c} -> {args.out}")
@@ -179,10 +174,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_find(args) -> int:
     pattern = args.pattern
     needed, find = _FINDERS[pattern]
-    for name in needed:
-        if getattr(args, name) is None:
-            flag = "--len" if name == "length" else f"--{name}"
-            raise UsageError(f"{pattern} requires {flag}")
+    _require("find", pattern, needed, args)
     w = find(_read_graph(args.file), args)
     if isinstance(w, tuple):  # a Turan hit: (partition, witness)
         print(f"parts={list(w[0].sizes)}")
@@ -203,23 +195,9 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    lemma = args.lemma
-    if lemma.startswith("triangle-n"):
-        report = verify_triangle_threshold(int(lemma[-1]))
-    elif lemma == "k6-dichotomy":
-        report = verify_k6_dichotomy()
-    elif lemma == "k8-reduction":
-        report = verify_k8_reduction()
-    elif lemma == "k9-reduction":
-        report = verify_k9_reduction()
-    elif lemma == "tightness":
-        if args.n is None or args.k is None:
-            raise UsageError("verify tightness requires --n and --k")
-        report = verify_tightness(args.n, args.k)
-    else:
-        if args.n is None or args.k is None:
-            raise UsageError("verify two-cliques requires --n and --k")
-        report = falsify_two_cliques(args.k, args.n, args.trials, args.seed)
+    needed, verify = _LEMMAS[args.lemma]
+    _require("verify", args.lemma, needed, args)
+    report = verify(args)
     text = format_report(report)
     _emit(text, args.out)
     if args.out:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from functools import lru_cache
+from operator import itemgetter
 
 
 @lru_cache(maxsize=None)
@@ -30,6 +31,16 @@ def stirling2(m: int, r: int) -> int:
     return completions(m, 0, r, r)
 
 
+@lru_cache(maxsize=None)
+def _skip_sizes(m: int, lo: int, hi: int) -> tuple[tuple[int, ...], ...]:
+    """Row pos, column b: RGS completions of a prefix of length pos + 1 with
+    b blocks, i.e. the size of the subtree skipped there."""
+    return tuple(
+        tuple(completions(m - pos - 1, b, lo, hi) for b in range(min(hi, m) + 1))
+        for pos in range(m)
+    )
+
+
 def rainbow_pruned_partitions(
     m: int, lo: int, hi: int, cuts: Iterable[tuple[int, ...]] = ()
 ) -> tuple[list[tuple[int, ...]], int]:
@@ -43,31 +54,38 @@ def rainbow_pruned_partitions(
     is the sum of S(m, r) over r = lo..hi."""
     if m < 0:
         raise ValueError(f"need m >= 0, got m={m}")
-    finishing_at: list[list[tuple[int, ...]]] = [[] for _ in range(m)]
+    # block b is stored as the bit 1 << b; index m holds 0, so that a getter
+    # always has two indices and returns a tuple.  Bits add without a carry
+    # exactly when they are distinct, and each carry loses a one, so a cut is
+    # rainbow exactly when the sum of its bits has `size` ones.
+    finishing_at: list[list[tuple[itemgetter, int]]] = [[] for _ in range(m)]
     for ids in cuts:
-        finishing_at[max(ids)].append(ids)
-    rgs = [0] * m
+        finishing_at[max(ids)].append((itemgetter(m, *ids), len(ids)))
+    skip_sizes = _skip_sizes(m, lo, hi)
+    bits = [0] * (m + 1)
     survivors: list[tuple[int, ...]] = []
     skipped = 0
 
+    # every node keeps blocks + (m - pos) >= lo, so lo stays reachable
     def rec(pos: int, blocks: int) -> None:
         nonlocal skipped
         if pos == m:
-            survivors.append(tuple(rgs))
+            survivors.append(tuple(x.bit_length() - 1 for x in bits[:m]))
             return
-        remaining_after = m - pos - 1
-        for b in range(min(blocks + 1, hi)):
+        tests = finishing_at[pos]
+        sizes = skip_sizes[pos]
+        # once the used blocks alone cannot reach lo, only a new block can
+        start = blocks if blocks + m - pos - 1 < lo else 0
+        for b in range(start, min(blocks + 1, hi)):
             new_blocks = blocks if b < blocks else blocks + 1
-            if new_blocks + remaining_after < lo:
-                continue
-            rgs[pos] = b
-            for ids in finishing_at[pos]:
-                if len({rgs[i] for i in ids}) == len(ids):
-                    skipped += completions(remaining_after, new_blocks, lo, hi)
+            bits[pos] = 1 << b
+            for test, size in tests:
+                if sum(test(bits)).bit_count() == size:
+                    skipped += sizes[new_blocks]
                     break
             else:
                 rec(pos + 1, new_blocks)
 
-    if m > 0 or lo <= 0 <= hi:
+    if max(lo, 0) <= min(hi, m):
         rec(0, 0)
     return survivors, skipped

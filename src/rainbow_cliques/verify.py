@@ -22,6 +22,7 @@ from .constructions import extremal, perturb_fresh_colors
 from .graph import ColoredGraph, ECGParseError, format_ecg, parse_ecg, saturation
 from .partitions import completions, rainbow_pruned_partitions, stirling2
 from .search import (
+    _rainbow_cliques,
     count_rainbow_cliques,
     find_monochromatic_cycle,
     find_rainbow_clique,
@@ -148,47 +149,15 @@ def verify_k6_dichotomy() -> VerificationReport:
     m, r = 15, 10
     edges = _K6_EDGES
     edge_index = {e: i for i, e in enumerate(edges)}
-    # 4-subsets keyed by the position at which their last edge is assigned
-    finishing_at: list[list[tuple[int, ...]]] = [[] for _ in range(m)]
-    for sub in combinations(range(1, 7), 4):
-        ids = tuple(edge_index[e] for e in combinations(sub, 2))
-        finishing_at[max(ids)].append(ids)
-    # sizes of skipped subtrees, by positions left and blocks used so far
-    skip_size = [[completions(left, b, r, r) for b in range(r + 1)] for left in range(m)]
-    rgs = [0] * m
-    survivors: list[tuple[int, ...]] = []
-    space = 0
-
-    def rec(pos: int, blocks: int):
-        nonlocal space
-        if pos == m:
-            space += 1
-            survivors.append(tuple(rgs))
-            return
-        remaining_after = m - pos - 1
-        for b in range(min(blocks + 1, r)):
-            new_blocks = blocks if b < blocks else blocks + 1
-            if new_blocks + remaining_after < r:
-                continue
-            rgs[pos] = b
-            vacuous = False
-            for ids in finishing_at[pos]:
-                i0, i1, i2, i3, i4, i5 = ids
-                cs = {rgs[i0], rgs[i1], rgs[i2], rgs[i3], rgs[i4], rgs[i5]}
-                if len(cs) == 6:
-                    vacuous = True
-                    break
-            if vacuous:
-                # every completion contains this rainbow K4
-                space += skip_size[remaining_after][new_blocks]
-                continue
-            rec(pos + 1, new_blocks)
-
-    rec(0, 0)
-
+    k4_cuts = [
+        tuple(edge_index[e] for e in combinations(sub, 2))
+        for sub in combinations(range(1, 7), 4)
+    ]
+    survivors, skipped = rainbow_pruned_partitions(m, r, r, k4_cuts)
+    space = skipped + len(survivors)
     ces: list[ColoredGraph] = []
-    for rgs_t in survivors:
-        colors = {edges[i]: rgs_t[i] + 1 for i in range(m)}
+    for rgs in survivors:
+        colors = {edges[i]: rgs[i] + 1 for i in range(m)}
         g = ColoredGraph(6, colors)
         prof = saturation(g)
         c0, c1, c2 = prof.tallies
@@ -387,7 +356,8 @@ def falsify_two_cliques(
     for _ in range(trials):
         g = ColoredGraph(n, {edge: rng.randrange(1, palette + 1) for edge in all_edges})
         g = perturb_fresh_colors(g, target, rng.randrange(2**31))
-        if count_rainbow_cliques(g, k) == 1:
+        # stop at a second rainbow K_k: only exactly one is a counterexample
+        if _rainbow_cliques(g, k, 2)[0] == 1:
             ces.append(g)
     return VerificationReport(
         f"two-cliques-k{k}-n{n}", trials, ces, time.perf_counter() - t0

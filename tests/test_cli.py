@@ -85,9 +85,22 @@ def test_parse_error_exit_3(tmp_path, capsys):
 
 
 def test_usage_error_exit_2(capsys):
-    assert run(["construct", "extremal"]) == 2
     assert run(["nonsense"]) == 2
-    assert run(["find", "x", "--pattern", "rainbow-clique"]) == 2
+    cases = [
+        (["construct", "extremal"], "construct extremal requires --n and --k"),
+        (["construct", "extremal", "--n", "8"], "construct extremal requires --n and --k"),
+        (["construct", "k6-variant"], "construct k6-variant requires --which"),
+        (["find", "x", "--pattern", "rainbow-clique"], "find rainbow-clique requires --k"),
+        (["find", "x", "--pattern", "rainbow-bipartite", "--a", "2"],
+         "find rainbow-bipartite requires --a and --b"),
+        (["find", "x", "--pattern", "mono-path"], "find mono-path requires --len"),
+        (["verify", "tightness", "--k", "4"], "verify tightness requires --n and --k"),
+        (["verify", "two-cliques"], "verify two-cliques requires --n and --k"),
+    ]
+    for argv, message in cases:
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_supersat_zero_count_exit_2(capsys):

@@ -100,8 +100,9 @@ class TestAllPartitions:
             every = all_rgs(m)
             assert len(every) == bell(m)
             for _ in range(12):
-                lo = rng.randint(0, m)
-                hi = rng.randint(lo, m)
+                # lo > m and hi < lo are infeasible: no survivors, nothing skipped
+                lo = rng.randint(0, m + 1)
+                hi = rng.randint(lo - 1, m + 1)
                 cuts = [
                     tuple(rng.sample(range(m), rng.randint(1, min(m, 4))))
                     for _ in range(rng.randint(0, 4) if m else 0)

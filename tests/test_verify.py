@@ -123,6 +123,15 @@ class TestRegularReductionMutations:
         assert len(r.counterexamples) == 30016 - 280
 
 
+class TestK6DichotomyMutation:
+    def test_finders_finding_nothing_fail_k6(self, monkeypatch):
+        monkeypatch.setattr(verify, "find_rainbow_turan", lambda g, r: None)
+        monkeypatch.setattr(verify, "find_monochromatic_cycle", lambda g, length: None)
+        r = verify.verify_k6_dichotomy()
+        # all 70 survivors of the enumeration reach the classification
+        assert format_report(r).splitlines()[0].startswith("LEMMA k6-dichotomy SPACE 12662650 CE 70 ")
+
+
 class TestK6VariantClassification:
     def test_turan_pair_branch(self):
         g = k6_variant("turan-pair")
