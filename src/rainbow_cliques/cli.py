@@ -176,12 +176,11 @@ def _cmd_find(args) -> int:
     needed, find = _FINDERS[pattern]
     _require("find", pattern, needed, args)
     w = find(_read_graph(args.file), args)
-    if isinstance(w, tuple):  # a Turan hit: (partition, witness)
-        print(f"parts={list(w[0].sizes)}")
-        w = w[1]
     if w is None:
         print(f"{pattern}: absent")
         return EXIT_FAIL if args.require else EXIT_OK
+    if pattern == "rainbow-turan":
+        print(f"parts={sorted(w.parts, reverse=True)}")
     print(f"{pattern}: found vertices={list(w.vertices)}")
     for u, v, c in w.edges:
         print(f"  {u} {v} {c}")

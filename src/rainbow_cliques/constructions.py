@@ -29,7 +29,7 @@ def extremal(n: int, k: int) -> ColoredGraph:
         raise ValueError(f"need k >= 3, got k={k}")
     if n < k - 2 or n < 2:
         raise ValueError(f"need n >= max(2, k-2), got n={n}, k={k}")
-    sizes = turan_partition(n, k - 2).sizes
+    sizes = turan_partition(n, k - 2)
     part_of = {}
     v = 1
     for idx, s in enumerate(sizes):
@@ -60,21 +60,14 @@ def lexicographic(n: int) -> ColoredGraph:
 def k6_variant(which: str) -> ColoredGraph:
     """K6 with 10 colors and no rainbow K4, one of two shapes:
 
-    * ``turan-pair``: rainbow T_{6,2} on parts {1,2,3} | {4,5,6} (9 distinct
-      cross colors) plus both intra-part triangles in one shared 10th color.
+    * ``turan-pair``: ``extremal(6, 4)``, a rainbow T_{6,2} on parts
+      {1,2,3} | {4,5,6} (9 distinct cross colors) plus both intra-part
+      triangles in one shared 10th color.
     * ``mono-c6``: the 6-cycle 1-2-3-4-5-6-1 in one color plus the remaining
       9 edges in 9 fresh distinct colors.
     """
     if which == "turan-pair":
-        colors = {}
-        next_color = 1
-        for u in (1, 2, 3):
-            for v in (4, 5, 6):
-                colors[(u, v)] = next_color
-                next_color += 1
-        for u, v in [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)]:
-            colors[(u, v)] = 10
-        return ColoredGraph(6, colors)
+        return extremal(6, 4)
     if which == "mono-c6":
         cycle = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)]
         colors = {e: 1 for e in cycle}
@@ -91,7 +84,7 @@ def counterexample_n7() -> ColoredGraph:
     """The 7-vertex, e+c = 34 graph with no rainbow K4 that is not complete:
     a lexicographic K5 on vertices 1..5 plus two nonadjacent vertices 6 and 7,
     each joined to all of 1..5 with five fresh pairwise-distinct colors."""
-    colors = {(u, v): u for u, v in combinations(range(1, 6), 2)}
+    colors = dict(lexicographic(5).colors)
     next_color = 5  # lexicographic K5 uses colors 1..4
     for w in (6, 7):
         for u in range(1, 6):

@@ -43,12 +43,16 @@ class Witness:
     """A vertex subset plus its edge-color assignment certifying a pattern.
 
     kind is one of: rainbow-clique, rainbow-bipartite, rainbow-turan,
-    mono-cycle, mono-path, proper-c4.
+    mono-cycle, mono-path, proper-c4.  The three rainbow kinds are complete
+    multipartite: `vertices` lists the parts one after another and `parts`
+    holds their sizes in that order ((1,)*k for a clique).  The walk kinds
+    (cycle, path, proper C4) leave `parts` empty.
     """
 
     kind: str
     vertices: tuple[int, ...]
     edges: tuple[tuple[int, int, int], ...]  # (u, v, color)
+    parts: tuple[int, ...] = ()
 
 
 def _edge_key(u: int, v: int) -> tuple[int, int]:

@@ -9,10 +9,10 @@ with adjacency-bitmask and used-color pruning.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, islice
 
 from .graph import ColoredGraph, Witness
-from .turan import TuranPartition, turan_partition
+from .turan import turan_partition
 
 
 def _iter_bits(mask: int):
@@ -39,9 +39,10 @@ def _ring(verts, closed: bool) -> list[tuple[int, int]]:
     return list(zip(verts, verts[1:] + verts[:1] if closed else verts[1:]))
 
 
-def _witness(g: ColoredGraph, kind: str, verts, pairs) -> Witness:
+def _witness(g: ColoredGraph, kind: str, verts, pairs, parts=()) -> Witness:
     cm = g.color_matrix
-    return Witness(kind, tuple(verts), tuple((min(u, v), max(u, v), cm[u][v]) for u, v in pairs))
+    edges = tuple((min(u, v), max(u, v), cm[u][v]) for u, v in pairs)
+    return Witness(kind, tuple(verts), edges, tuple(parts))
 
 
 def _rainbow(cm, pairs) -> bool:
@@ -112,7 +113,7 @@ def find_rainbow_clique(g: ColoredGraph, k: int) -> Witness | None:
     _, verts = _rainbow_cliques(g, k, 1)
     if verts is None:
         return None
-    return _witness(g, "rainbow-clique", verts, _cross([(v,) for v in verts]))
+    return _witness(g, "rainbow-clique", verts, _cross([(v,) for v in verts]), (1,) * k)
 
 
 def count_rainbow_cliques(g: ColoredGraph, k: int) -> int:
@@ -135,7 +136,7 @@ def find_rainbow_complete_bipartite(g: ColoredGraph, a: int, b: int) -> Witness 
             if a == b and B[0] < A[0]:
                 continue  # unordered pair of parts
             if _rainbow(cm, _cross((A, B))):
-                return _witness(g, "rainbow-bipartite", A + B, _cross((A, B)))
+                return _witness(g, "rainbow-bipartite", A + B, _cross((A, B)), (a, b))
     return None
 
 
@@ -164,17 +165,17 @@ def _balanced_partitions(n: int, sizes: tuple[int, ...]):
     yield from rec(list(range(1, n + 1)), list(sizes), [])
 
 
-def find_rainbow_turan(g: ColoredGraph, r: int) -> tuple[TuranPartition, Witness] | None:
+def find_rainbow_turan(g: ColoredGraph, r: int) -> Witness | None:
     """A balanced r-partition of V(G) whose cross edges all exist with
-    pairwise distinct colors, or None.  Exhaustive over balanced partitions."""
+    pairwise distinct colors, or None.  Exhaustive over balanced partitions;
+    the witness lists its parts by their smallest vertex."""
     if not (1 <= r <= g.n):
         raise ValueError(f"part count must satisfy 1 <= r <= n, got r={r}")
-    partition = turan_partition(g.n, r)
     cm = g.color_matrix
-    for parts in _balanced_partitions(g.n, partition.sizes):
+    for parts in _balanced_partitions(g.n, turan_partition(g.n, r)):
         if _rainbow(cm, _cross(parts)):
-            vertices = [v for part in parts for v in part]
-            return partition, _witness(g, "rainbow-turan", vertices, _cross(parts))
+            verts = [v for part in parts for v in part]
+            return _witness(g, "rainbow-turan", verts, _cross(parts), map(len, parts))
     return None
 
 
@@ -266,47 +267,41 @@ def find_properly_colored_c4(g: ColoredGraph) -> Witness | None:
 # -- witness validation ----------------------------------------------------
 
 
-def _runs(verts: tuple[int, ...], pairs: set[tuple[int, int]]) -> list[list[int]]:
-    """Split the vertex list where consecutive vertices are joined by one of
-    `pairs`: the parts of a complete multipartite witness, listed part by
-    part."""
-    parts = [[verts[0]]]
-    for u, v in zip(verts, verts[1:]):
-        if (min(u, v), max(u, v)) in pairs:
-            parts.append([])
-        parts[-1].append(v)
-    return parts
-
-
 def validate_witness(g: ColoredGraph, w: Witness) -> bool:
     """Re-check a witness against its host graph: its edges are exactly the
-    pattern's edges on `vertices` (for bipartite and Turan witnesses, parts
-    listed one after another), each with its color in g, and the colors
-    satisfy the predicate of `kind`."""
-    verts = w.vertices
+    pattern's edges on `vertices`, each with its color in g, and the colors
+    satisfy the predicate of `kind`.  A multipartite witness is split into
+    parts by `w.parts` (all 1 for a clique, two parts for a bipartite one,
+    the balanced sizes of len(w.parts) parts on all of V(G) for a Turan one),
+    so the expected edges never come from the edges being checked."""
+    verts, parts = w.vertices, w.parts
     if not verts or len(set(verts)) != len(verts):
         return False
     if any(g.color_of(u, v) != c for u, v, c in w.edges):
         return False
-    pairs = {(min(u, v), max(u, v)) for u, v, _ in w.edges}
     if w.kind in ("rainbow-clique", "rainbow-bipartite", "rainbow-turan"):
-        # a clique is complete multipartite with single-vertex parts
-        parts = [(v,) for v in verts] if w.kind == "rainbow-clique" else _runs(verts, pairs)
+        if sum(parts) != len(verts) or min(parts) < 1:
+            return False
+        if w.kind == "rainbow-clique" and max(parts) != 1:
+            return False
         if w.kind == "rainbow-bipartite" and len(parts) != 2:
             return False
         if w.kind == "rainbow-turan" and (
             sorted(verts) != list(range(1, g.n + 1))
-            or tuple(sorted(map(len, parts), reverse=True))
-            != turan_partition(g.n, len(parts)).sizes
+            or tuple(sorted(parts, reverse=True)) != turan_partition(g.n, len(parts))
         ):
             return False
-        expected = list(_cross(parts))
+        it = iter(verts)
+        expected = list(_cross([tuple(islice(it, size)) for size in parts]))
+    elif parts:
+        return False
     elif w.kind == "mono-cycle" and len(verts) >= 3 or w.kind == "proper-c4" and len(verts) == 4:
         expected = _ring(verts, True)
     elif w.kind == "mono-path" and len(verts) >= 2:
         expected = _ring(verts, False)
     else:
         return False
+    pairs = {(min(u, v), max(u, v)) for u, v, _ in w.edges}
     if len(w.edges) != len(expected) or pairs != {(min(u, v), max(u, v)) for u, v in expected}:
         return False
     cols = [g.color_of(u, v) for u, v in expected]

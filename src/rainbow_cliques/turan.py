@@ -7,23 +7,7 @@ equality downstream, so no floating point enters here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
-
-
-@dataclass(frozen=True)
-class TuranPartition:
-    """Part sizes of a balanced partition, nonincreasing."""
-
-    sizes: tuple[int, ...]
-
-    @property
-    def n(self) -> int:
-        return sum(self.sizes)
-
-    @property
-    def k(self) -> int:
-        return len(self.sizes)
 
 
 def turan_number(n: int, k: int) -> int:
@@ -49,7 +33,7 @@ def turan_increment(n: int, k: int) -> int:
     return n - (n - i) // k
 
 
-def turan_partition(n: int, k: int) -> TuranPartition:
+def turan_partition(n: int, k: int) -> tuple[int, ...]:
     """Balanced part sizes: the first n mod k parts get ceil(n/k), the rest
     floor(n/k); nonincreasing order."""
     if k <= 0:
@@ -57,7 +41,7 @@ def turan_partition(n: int, k: int) -> TuranPartition:
     if k > n:
         raise ValueError(f"cannot split {n} vertices into {k} nonempty parts")
     q, i = divmod(n, k)
-    return TuranPartition(tuple([q + 1] * i + [q] * (k - i)))
+    return tuple([q + 1] * i + [q] * (k - i))
 
 
 def thresholds(n: int, k: int) -> tuple[int, int]:

@@ -11,12 +11,11 @@ counterexamples as embedded ECG blocks.
 from __future__ import annotations
 
 import random
+import statistics
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import comb, factorial, log
-
-import numpy as np
+from math import ceil, comb, factorial, log
 
 from .constructions import extremal, perturb_fresh_colors
 from .graph import ColoredGraph, ECGParseError, format_ecg, parse_ecg, saturation
@@ -381,7 +380,7 @@ def supersaturation_experiment(
     for n in ns:
         if n > 100:
             raise ValueError(f"experiment capped at n <= 100, got n={n}")
-        target = int(np.ceil((1 + (k - 3) / (k - 2) + 2 * eps) * comb(n, 2)))
+        target = ceil((1 + (k - 3) / (k - 2) + 2 * eps) * comb(n, 2))
         if target > 2 * comb(n, 2):
             raise ValueError(f"target {target} exceeds the all-rainbow maximum at n={n}")
         g = perturb_fresh_colors(extremal(n, k), target, seed)
@@ -391,5 +390,4 @@ def supersaturation_experiment(
         rows.append((n, g.e + g.c, cnt))
     xs = [log(n) for n, _, _ in rows]
     ys = [log(cnt) for _, _, cnt in rows]
-    slope = float(np.polyfit(xs, ys, 1)[0])
-    return rows, slope
+    return rows, statistics.linear_regression(xs, ys).slope

@@ -98,7 +98,7 @@ def test_criterion_07_saturation_solution_lists():
 
 def _extremal_is_rainbow_free_structurally(n: int, k: int) -> bool:
     g = extremal(n, k)
-    sizes = turan_partition(n, k - 2).sizes
+    sizes = turan_partition(n, k - 2)
     if min(sizes) < 2:
         return False
     shared = max(g.colors.values())

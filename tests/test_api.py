@@ -1,4 +1,7 @@
 import inspect
+import os
+import subprocess
+import sys
 
 import rainbow_cliques
 import oracles
@@ -19,3 +22,19 @@ def test_no_test_oracle_is_exported():
     for name in names:
         assert name not in rainbow_cliques.__all__, name
         assert not hasattr(rainbow_cliques, name), name
+
+
+def test_runs_without_numpy():
+    # a None entry in sys.modules makes `import numpy` raise ImportError
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import rainbow_cliques\n"
+        "from rainbow_cliques.cli import run\n"
+        "sys.exit(run(['supersat', '--k', '3', '--ns', '10,12', '--eps', '0.1']))\n"
+    )
+    src = os.path.dirname(os.path.dirname(rainbow_cliques.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("n,ec,count\n10,")

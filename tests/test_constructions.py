@@ -20,7 +20,7 @@ from rainbow_cliques import (
 
 
 def extremal_part_ranges(n: int, k: int):
-    sizes = turan_partition(n, k - 2).sizes
+    sizes = turan_partition(n, k - 2)
     start = 1
     for s in sizes:
         yield range(start, start + s)

@@ -178,18 +178,17 @@ class TestRainbowBipartite:
 
 class TestRainbowTuran:
     def test_extremal_8_4(self):
-        hit = find_rainbow_turan(extremal(8, 4), 2)
-        assert hit is not None
-        part, w = hit
-        assert part.sizes == (4, 4)
+        w = find_rainbow_turan(extremal(8, 4), 2)
+        assert w is not None
+        assert w.parts == (4, 4)
         assert validate_witness(extremal(8, 4), w)
 
     def test_mono_c6_variant_absent(self):
         assert find_rainbow_turan(k6_variant("mono-c6"), 2) is None
 
     def test_extremal_9_5(self):
-        hit = find_rainbow_turan(extremal(9, 5), 3)
-        assert hit is not None and hit[0].sizes == (3, 3, 3)
+        w = find_rainbow_turan(extremal(9, 5), 3)
+        assert w is not None and w.parts == (3, 3, 3)
 
     def test_bad_r(self):
         with pytest.raises(ValueError):
@@ -312,7 +311,7 @@ class TestFindersAgainstOracles:
                 continue
             hit = find_rainbow_turan(g, r)
             assert (hit is not None) == rainbow_turan_exists_naive(g, r)
-            assert hit is None or validate_witness(g, hit[1])
+            assert hit is None or validate_witness(g, hit)
             outcomes.add(hit is None)
         assert outcomes == {True, False}
 
@@ -353,17 +352,25 @@ class TestWitnessValidation:
             for r in range(1, 4):
                 hit = find_rainbow_turan(g, r)
                 if hit is not None:
-                    assert validate_witness(g, hit[1])
+                    assert validate_witness(g, hit)
 
     def test_bipartite_without_edges_rejected(self):
         assert not validate_witness(
-            rainbow_complete(6), Witness("rainbow-bipartite", (1, 2, 3, 4), ())
+            rainbow_complete(6), Witness("rainbow-bipartite", (1, 2, 3, 4), (), (2, 2))
         )
 
     def test_turan_with_one_edge_rejected(self):
         g = rainbow_complete(4)
-        bad = Witness("rainbow-turan", (1, 3, 2, 4), ((1, 2, g.color_of(1, 2)),))
+        bad = Witness("rainbow-turan", (1, 3, 2, 4), ((1, 2, g.color_of(1, 2)),), (2, 2))
         assert not validate_witness(g, bad)
+
+    def test_turan_without_its_edge_rejected(self):
+        # T(2,2) on a one-edge K2 minus that edge would be a valid T(2,1)
+        # if the parts were read off the edges
+        g = ColoredGraph(2, {(1, 2): 1})
+        w = find_rainbow_turan(g, 2)
+        assert w.parts == (1, 1) and validate_witness(g, w)
+        assert not validate_witness(g, Witness(w.kind, w.vertices, (), w.parts))
 
     def test_proper_c4_edges_off_the_cycle_rejected(self):
         g = rainbow_complete(5)

@@ -64,14 +64,14 @@ class TestTuranIncrement:
 
 class TestTuranPartition:
     def test_examples(self):
-        assert turan_partition(8, 2).sizes == (4, 4)
-        assert turan_partition(9, 3).sizes == (3, 3, 3)
-        assert turan_partition(7, 3).sizes == (3, 2, 2)
+        assert turan_partition(8, 2) == (4, 4)
+        assert turan_partition(9, 3) == (3, 3, 3)
+        assert turan_partition(7, 3) == (3, 2, 2)
 
     def test_invariants(self):
         for n in range(1, 30):
             for k in range(1, n + 1):
-                sizes = turan_partition(n, k).sizes
+                sizes = turan_partition(n, k)
                 assert sum(sizes) == n
                 assert max(sizes) - min(sizes) <= 1
                 assert list(sizes) == sorted(sizes, reverse=True)
