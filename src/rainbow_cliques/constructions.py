@@ -93,21 +93,12 @@ def counterexample_n7() -> ColoredGraph:
     return ColoredGraph(7, colors)
 
 
-def perturb_fresh_colors(g: ColoredGraph, target_ec: int, seed: int) -> ColoredGraph:
-    """Recolor uniformly random (seeded) edges of monochromatic classes with
-    fresh distinct colors until e(G)+c(G) >= target_ec.  The edge set never
-    changes and the result is deterministic for a fixed seed."""
-    if not is_complete(g):
-        raise ValueError("perturbation requires a complete host graph")
-    max_ec = 2 * g.e
-    if target_ec > max_ec:
-        raise ValueError(f"target e+c={target_ec} unreachable, maximum is {max_ec}")
-    colors = dict(g.colors)
+def _recolor_fresh(colors: dict[tuple[int, int], int], target_ec: int, rng: random.Random) -> None:
+    """Recolor uniformly random edges of monochromatic classes of `colors`
+    in place, drawing from `rng`, each with a fresh distinct color, until
+    e+c >= target_ec.  Needs target_ec <= 2e."""
     class_size = Counter(colors.values())
-    ec = g.e + len(class_size)
-    if ec >= target_ec:
-        return g
-    rng = random.Random(seed)
+    ec = len(colors) + len(class_size)
     next_color = max(class_size) + 1
     # sorted once: classes only shrink and fresh classes stay singletons, so
     # dropping each edge whose class falls to one keeps the list equal to a
@@ -122,4 +113,19 @@ def perturb_fresh_colors(g: ColoredGraph, target_ec: int, seed: int) -> ColoredG
         colors[edge] = next_color
         next_color += 1
         ec += 1
+
+
+def perturb_fresh_colors(g: ColoredGraph, target_ec: int, seed: int) -> ColoredGraph:
+    """Recolor uniformly random (seeded) edges of monochromatic classes with
+    fresh distinct colors until e(G)+c(G) >= target_ec.  The edge set never
+    changes and the result is deterministic for a fixed seed."""
+    if not is_complete(g):
+        raise ValueError("perturbation requires a complete host graph")
+    max_ec = 2 * g.e
+    if target_ec > max_ec:
+        raise ValueError(f"target e+c={target_ec} unreachable, maximum is {max_ec}")
+    if g.e + g.c >= target_ec:
+        return g
+    colors = dict(g.colors)
+    _recolor_fresh(colors, target_ec, random.Random(seed))
     return ColoredGraph(g.n, colors)

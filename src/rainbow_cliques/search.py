@@ -4,12 +4,20 @@ colored patterns in edge-colored graphs.
 All finders are deterministic: when several witnesses exist, the one with the
 lexicographically smallest vertex list (under the canonical orientation of the
 pattern) is returned.  Clique search uses ordered backtracking over vertices
-with adjacency-bitmask and used-color pruning.
+with adjacency bitmasks, in two forms.  Counting keeps only the candidates
+that extend the current clique to a rainbow clique, filtered by per-color
+neighbour masks (or checked one by one where that costs fewer operations),
+so the clique on k-1 vertices adds one popcount and no k-clique is visited.
+Finding stops at a limit (the first clique, or the falsifier's second) and
+checks each candidate's colors against the used ones: a hit comes early
+there, and the mask table would cost more than the search.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations, islice
+from operator import itemgetter
 
 from .graph import ColoredGraph, Witness
 from .turan import turan_partition
@@ -57,14 +65,16 @@ def _rainbow(cm, pairs) -> bool:
 
 
 def _rainbow_cliques(
-    g: ColoredGraph, k: int, limit: int | None
+    g: ColoredGraph, k: int, limit: int
 ) -> tuple[int, tuple[int, ...] | None]:
     """Count the k-cliques whose C(k,2) edges have pairwise distinct colors,
-    in lexicographic order of their vertex lists, stopping once `limit` are
-    found (None: count all).  Returns the count and, if the search stopped
-    at `limit`, the clique it stopped at (so the first one for limit=1)."""
+    in lexicographic order of their vertex lists, stopping once `limit` (at
+    least 1) are found.  Returns the count and, if the search stopped at
+    `limit`, the clique it stopped at (so the first one for limit=1)."""
     if k < 1:
         raise ValueError(f"clique size must be positive, got k={k}")
+    if limit < 1:
+        raise ValueError(f"limit must be positive, got limit={limit}")
     if k > g.n:
         return 0, None
     cm = g.color_matrix
@@ -102,8 +112,7 @@ def _rainbow_cliques(
         return total
 
     clique: list[int] = []
-    # a budget of -1 is never reached: no limit
-    count = rec(clique, (1 << (g.n + 1)) - 2, set(), -1 if limit is None else limit)
+    count = rec(clique, (1 << (g.n + 1)) - 2, set(), limit)
     return count, (tuple(clique) if clique else None)
 
 
@@ -117,8 +126,78 @@ def find_rainbow_clique(g: ColoredGraph, k: int) -> Witness | None:
 
 
 def count_rainbow_cliques(g: ColoredGraph, k: int) -> int:
-    """Exact number of k-vertex subsets inducing a rainbow clique."""
-    return _rainbow_cliques(g, k, None)[0]
+    """Exact number of k-vertex subsets inducing a rainbow clique.
+
+    The backtracking keeps `cand` equal to the vertices above the clique's
+    last vertex that extend the clique to a rainbow clique, so the clique on
+    k-1 vertices adds the popcount of `cand` and no leaf is visited."""
+    if k < 1:
+        raise ValueError(f"clique size must be positive, got k={k}")
+    if k > g.n:
+        return 0
+    if k <= 2:
+        return g.n if k == 1 else g.e  # every vertex and every edge is rainbow
+    cm = g.color_matrix
+    adj = g.adj
+    # at[v][c]: v's neighbours over an edge of color c; shared[v] keeps the
+    # colors on two or more edges, the only ones that can join a candidate
+    # to two clique vertices
+    at: list[dict[int, int]] = [{} for _ in range(g.n + 1)]
+    for (u, v), c in g.colors.items():
+        at[u][c] = at[u].get(c, 0) | 1 << v
+        at[v][c] = at[v].get(c, 0) | 1 << u
+    size = Counter(g.colors.values())
+    shared = [{c: m for c, m in row.items() if size[c] >= 2} for row in at]
+
+    def rec(clique: list[int], used: set[int], cand: int) -> int:
+        total = 0
+        q1 = len(clique) + 1
+        last = q1 == k - 1
+        # operations of the mask filter below; the per-candidate check
+        # costs q1 per candidate
+        mask_cost = len(used) + len(clique) * q1
+        for v in _iter_bits(cand):
+            ext = cand & adj[v] & ~((2 << v) - 1)
+            if not ext:
+                continue
+            row = cm[v]
+            new = [row[u] for u in clique]
+            # keep the w in ext with c(w,v) not in used or new, no c(w,u) in
+            # new and no c(w,u) equal to c(w,v), by whichever filter is cheaper
+            if ext.bit_count() * q1 <= mask_cost:
+                bad = used.union(new)
+                get = itemgetter(*clique, v)
+                keep = 0
+                for w in _iter_bits(ext):
+                    cols = set(get(cm[w]))
+                    if len(cols) == q1 and cols.isdisjoint(bad):
+                        keep |= 1 << w
+                ext = keep
+            else:
+                av = at[v]
+                sv = shared[v].items()
+                drop = 0
+                for c in used:
+                    drop |= av.get(c, 0)
+                for c in new:
+                    drop |= av.get(c, 0)
+                for u in clique:
+                    au = at[u]
+                    for c in new:
+                        drop |= au.get(c, 0)
+                    su = shared[u]
+                    for c, m in sv:
+                        drop |= m & su.get(c, 0)
+                ext &= ~drop
+            if last:
+                total += ext.bit_count()
+            elif ext:
+                clique.append(v)
+                total += rec(clique, used.union(new), ext)
+                clique.pop()
+        return total
+
+    return sum(rec([u], set(), adj[u] & ~((2 << u) - 1)) for u in range(1, g.n + 1))
 
 
 def find_rainbow_complete_bipartite(g: ColoredGraph, a: int, b: int) -> Witness | None:

@@ -15,9 +15,9 @@ import statistics
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import ceil, comb, factorial, log
+from math import ceil, comb, factorial, isfinite, log
 
-from .constructions import extremal, perturb_fresh_colors
+from .constructions import _recolor_fresh, extremal, perturb_fresh_colors
 from .graph import ColoredGraph, ECGParseError, format_ecg, parse_ecg, saturation
 from .partitions import completions, rainbow_pruned_partitions, stirling2
 from .search import (
@@ -353,8 +353,9 @@ def falsify_two_cliques(
     palette = max(target - e, 1)
     ces: list[ColoredGraph] = []
     for _ in range(trials):
-        g = ColoredGraph(n, {edge: rng.randrange(1, palette + 1) for edge in all_edges})
-        g = perturb_fresh_colors(g, target, rng.randrange(2**31))
+        colors = {edge: rng.randrange(1, palette + 1) for edge in all_edges}
+        _recolor_fresh(colors, target, rng)
+        g = ColoredGraph(n, colors)
         # stop at a second rainbow K_k: only exactly one is a counterexample
         if _rainbow_cliques(g, k, 2)[0] == 1:
             ces.append(g)
@@ -370,19 +371,23 @@ def supersaturation_experiment(
     budget (1 + (k-3)/(k-2) + 2*eps) * C(n,2) and count rainbow K_k exactly.
     Returns the rows (n, e+c, count) and the least-squares slope of
     log(count) against log(n)."""
-    if k not in (3, 4):
-        raise ValueError(f"experiment supports k in {{3,4}}, got k={k}")
-    if eps <= 0:
-        raise ValueError(f"need eps > 0, got {eps}")
+    if not 3 <= k <= 6:
+        raise ValueError(f"experiment supports k in 3..6, got k={k}")
+    if not (isfinite(eps) and eps > 0):
+        raise ValueError(f"need a finite eps > 0, got {eps}")
     if len(set(ns)) < 2:
         raise ValueError(f"a slope needs at least two distinct n, got {ns}")
+    # checked before any product: a huge finite eps overflows it to inf
+    budget = 1 + (k - 3) / (k - 2) + 2 * eps
+    if budget > 2:
+        raise ValueError(
+            f"target {budget:.6g}*C(n,2) exceeds the all-rainbow maximum 2*C(n,2)"
+        )
     rows = []
     for n in ns:
         if n > 100:
             raise ValueError(f"experiment capped at n <= 100, got n={n}")
-        target = ceil((1 + (k - 3) / (k - 2) + 2 * eps) * comb(n, 2))
-        if target > 2 * comb(n, 2):
-            raise ValueError(f"target {target} exceeds the all-rainbow maximum at n={n}")
+        target = ceil(budget * comb(n, 2))
         g = perturb_fresh_colors(extremal(n, k), target, seed)
         cnt = count_rainbow_cliques(g, k)
         if cnt == 0:

@@ -153,9 +153,18 @@ def test_criterion_10_counterexample_n7():
 def test_criterion_11_supersaturation_slopes():
     t0 = time.perf_counter()
     ns = [30, 40, 50, 60, 70, 80]
-    _, slope3 = supersaturation_experiment(3, ns, 0.1, seed=1)
-    _, slope4 = supersaturation_experiment(4, ns, 0.1, seed=1)
+    rows3, slope3 = supersaturation_experiment(3, ns, 0.1, seed=1)
+    rows4, slope4 = supersaturation_experiment(4, ns, 0.1, seed=1)
     ok = 2.7 <= slope3 <= 3.3 and 3.6 <= slope4 <= 4.4
+    # the exact counts, so a wrong count that keeps the slope in range fails
+    ok = ok and rows3 == [
+        (30, 522, 433), (40, 936, 1023), (50, 1470, 2062),
+        (60, 2124, 3543), (70, 2898, 5692), (80, 3792, 8603),
+    ]
+    ok = ok and rows4 == [
+        (30, 740, 11209), (40, 1326, 38089), (50, 2083, 95019),
+        (60, 3009, 202997), (70, 4106, 381707), (80, 5372, 657786),
+    ]
     _gate("11 supersaturation", ok, time.perf_counter() - t0, 300.0)
 
 

@@ -1,4 +1,10 @@
+from math import ceil, comb
+
+import pytest
+
+from rainbow_cliques import count_rainbow_cliques, extremal, perturb_fresh_colors
 from rainbow_cliques.cli import run
+from oracles import count_rainbow_cliques_naive
 
 
 def test_construct_analyze_round_trip(tmp_path, capsys):
@@ -112,3 +118,37 @@ def test_supersat_zero_count_exit_2(capsys):
 def test_supersat_single_n_exit_2(capsys):
     assert run(["supersat", "--k", "3", "--ns", "10,10", "--eps", "0.1"]) == 2
     assert "at least two distinct n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eps", ["inf", "nan"])
+def test_supersat_non_finite_eps_exit_2(eps, capsys):
+    assert run(["supersat", "--k", "3", "--ns", "10,12", "--eps", eps]) == 2
+    assert capsys.readouterr().err == f"error: need a finite eps > 0, got {eps}\n"
+
+
+@pytest.mark.parametrize("k", [5, 6])
+def test_supersat_k5_k6_counts_match_the_oracle(k, capsys):
+    assert run(["supersat", "--k", str(k), "--ns", "10,12", "--eps", "0.1", "--seed", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "n,ec,count"
+    for line, n in zip(lines[1:3], (10, 12)):
+        target = ceil((1 + (k - 3) / (k - 2) + 0.2) * comb(n, 2))
+        g = perturb_fresh_colors(extremal(n, k), target, 1)
+        count = count_rainbow_cliques_naive(g, k)
+        assert count == count_rainbow_cliques(g, k) > 0
+        assert line == f"{n},{g.e + g.c},{count}"
+    assert lines[3].startswith("slope=")
+
+
+def test_supersat_k_outside_3_to_6_exit_2(capsys):
+    for k in ("2", "7"):
+        assert run(["supersat", "--k", k, "--ns", "10,12", "--eps", "0.1"]) == 2
+        assert "experiment supports k in 3..6" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k, eps, budget", [("6", "0.13", "2.01"), ("3", "1e308", "inf")])
+def test_supersat_large_eps_exceeds_the_maximum_exit_2(k, eps, budget, capsys):
+    assert run(["supersat", "--k", k, "--ns", "10,12", "--eps", eps]) == 2
+    assert capsys.readouterr().err == (
+        f"error: target {budget}*C(n,2) exceeds the all-rainbow maximum 2*C(n,2)\n"
+    )

@@ -104,10 +104,19 @@ class TestCountRainbowCliques:
 
     def test_matches_naive_oracle(self):
         rng = random.Random(23)
-        for _ in range(100):
-            g = random_colored_graph(rng, rng.randint(3, 9))
-            for k in (3, 4):
+        graphs = [random_colored_graph(rng, rng.randint(3, 9)) for _ in range(100)]
+        # one large shared class plus fresh colors: the shared-color filter
+        for n in range(3, 11):
+            for k in range(3, n + 3):
+                base = extremal(n, k)
+                graphs.append(perturb_fresh_colors(base, rng.randint(base.e + base.c, 2 * base.e), n))
+        for g in graphs:
+            for k in range(1, 8):
                 assert count_rainbow_cliques(g, k) == count_rainbow_cliques_naive(g, k)
+
+    def test_triangle_with_two_edges_sharing_a_color(self):
+        g = ColoredGraph(3, {(1, 2): 1, (1, 3): 2, (2, 3): 2})
+        assert count_rainbow_cliques(g, 3) == 0
 
     def test_limit_stops_at_the_limit_th_clique(self):
         rng = random.Random(29)
@@ -125,6 +134,10 @@ class TestCountRainbowCliques:
                     count, stop = _rainbow_cliques(g, k, limit)
                     assert count == min(len(cliques), limit)
                     assert stop == (cliques[limit - 1] if len(cliques) >= limit else None)
+
+    def test_limit_must_be_positive(self):
+        with pytest.raises(ValueError, match="limit must be positive"):
+            _rainbow_cliques(rainbow_complete(4), 3, 0)
 
     def test_find_iff_count_positive(self):
         rng = random.Random(29)
