@@ -48,12 +48,25 @@ def rainbow_pruned_partitions(
     tuple of element indices in `cuts` is rainbow (its elements lie in
     pairwise distinct blocks).
 
-    A tuple is tested as soon as its last element is assigned, and the whole
-    subtree below a rainbow tuple is skipped.  Returns the surviving RGS and
-    the exact number of RGS in the skipped subtrees, so survivors + skipped
-    is the sum of S(m, r) over r = lo..hi."""
+    A subtree is skipped as soon as every RGS below it makes some cut
+    rainbow.  A cut is rainbow once its last element is assigned and its
+    elements lie in distinct blocks.  Before that, call a cut open if its
+    assigned elements lie in distinct blocks: it ends rainbow unless one of
+    its unassigned positions reuses a block, i.e. joins a block opened at an
+    earlier position.  Reaching lo blocks needs lo - blocks of the remaining
+    positions to open new blocks, which leaves at most r reuses.  So a node
+    is skipped when r = 0 and some cut is open, or when r = 1 and the open
+    cuts share no unassigned position.  Cuts that repeat an index are never
+    rainbow and are dropped first.
+
+    Returns the surviving RGS and the exact number of RGS in the skipped
+    subtrees, so survivors + skipped is the sum of S(m, r) over r = lo..hi."""
     if m < 0:
         raise ValueError(f"need m >= 0, got m={m}")
+    if max(lo, 0) > min(hi, m):
+        return [], 0
+    # a cut that repeats an index is never rainbow
+    cuts = [ids for ids in cuts if len(set(ids)) == len(ids)]
     # block b is stored as the bit 1 << b; index m holds 0, so that a getter
     # always has two indices and returns a tuple.  Bits add without a carry
     # exactly when they are distinct, and each carry loses a one, so a cut is
@@ -65,6 +78,41 @@ def rainbow_pruned_partitions(
     bits = [0] * (m + 1)
     survivors: list[tuple[int, ...]] = []
     skipped = 0
+    # rows[pos]: the cuts still unfinished once pos positions are assigned,
+    # as (whether one has under two assigned elements, so is surely open;
+    # the AND of those cuts' unassigned masks, -1 for none; (getter, size,
+    # unassigned mask) for each of the rest).  A row is built on first use:
+    # building every row up front made the triangle verifier's ~1,100 calls
+    # here take about 1.6x as long.
+    rows: list = [None] * m
+
+    def open_cuts(pos: int):
+        sure, need, tested = False, -1, []
+        for ids in cuts:
+            if max(ids) < pos:
+                continue
+            done = [i for i in ids if i < pos]
+            mask = sum(1 << i for i in ids if i >= pos)
+            if len(done) < 2:
+                sure, need = True, need & mask
+            else:
+                tested.append((itemgetter(*done), len(done), mask))
+        rows[pos] = sure, need, tested
+        return rows[pos]
+
+    def doomed(pos: int, reuses: int) -> bool:
+        """Whether every completion of this node makes some cut rainbow."""
+        sure, need, tested = rows[pos] or open_cuts(pos)
+        if not reuses:
+            need = 0
+        if sure and not need:
+            return True
+        for test, size, mask in tested:
+            if sum(test(bits)).bit_count() == size:
+                need &= mask
+                if not need:
+                    return True
+        return False
 
     # every node keeps blocks + (m - pos) >= lo, so lo stays reachable
     def rec(pos: int, blocks: int) -> None:
@@ -74,8 +122,9 @@ def rainbow_pruned_partitions(
             return
         tests = finishing_at[pos]
         sizes = skip_sizes[pos]
+        left = m - pos - 1
         # once the used blocks alone cannot reach lo, only a new block can
-        start = blocks if blocks + m - pos - 1 < lo else 0
+        start = blocks if blocks + left < lo else 0
         for b in range(start, min(blocks + 1, hi)):
             new_blocks = blocks if b < blocks else blocks + 1
             bits[pos] = 1 << b
@@ -84,8 +133,11 @@ def rainbow_pruned_partitions(
                     skipped += sizes[new_blocks]
                     break
             else:
-                rec(pos + 1, new_blocks)
+                reuses = left - max(lo - new_blocks, 0)
+                if reuses <= 1 and left and doomed(pos + 1, reuses):
+                    skipped += sizes[new_blocks]
+                else:
+                    rec(pos + 1, new_blocks)
 
-    if max(lo, 0) <= min(hi, m):
-        rec(0, 0)
+    rec(0, 0)
     return survivors, skipped

@@ -14,6 +14,7 @@ import random
 import statistics
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 from math import ceil, comb, factorial, isfinite, log
 
@@ -208,21 +209,24 @@ def labeled_regular_graphs(n: int, d: int):
     yield from rec(0)
 
 
+@lru_cache(maxsize=None)
+def _subset_pair_masks(n: int, size: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Each `size`-subset of range(n), in combinations order, with the mask
+    of its ordered pairs: bit u*n + v for u != v in the subset."""
+    return tuple(
+        (sub, sum(1 << u * n + v for u in sub for v in sub if u != v))
+        for sub in combinations(range(n), size)
+    )
+
+
 def _subsets_with_few_edges(adj: tuple[int, ...], size: int, min_edges: int):
-    """First `size`-subset spanning fewer than min_edges edges, or None."""
+    """First `size`-subset spanning fewer than min_edges edges, or None.
+    Each edge sets two bits of the graph's pair mask, so a subset's edge
+    count is half the popcount of the pair masks' AND."""
     n = len(adj)
-    for sub in combinations(range(n), size):
-        cnt = 0
-        for i in range(size):
-            ai = adj[sub[i]]
-            for j in range(i + 1, size):
-                if ai >> sub[j] & 1:
-                    cnt += 1
-                    if cnt >= min_edges:
-                        break
-            if cnt >= min_edges:
-                break
-        if cnt < min_edges:
+    pairs = sum(a << u * n for u, a in enumerate(adj))
+    for sub, mask in _subset_pair_masks(n, size):
+        if (pairs & mask).bit_count() < 2 * min_edges:
             return sub
     return None
 
@@ -308,9 +312,12 @@ def verify_tightness(n: int, k: int) -> VerificationReport:
     """Assert the extremal construction sits exactly at the extremal
     threshold with no rainbow K_k, and that recoloring any single intra-part
     edge with a fresh color creates a rainbow K_k (exhaustive over intra-part
-    edges)."""
+    edges).  Needs n >= k: a graph on fewer than k vertices has no K_k, so
+    no recoloring can make one rainbow."""
     if k not in (4, 5):
         raise ValueError(f"tightness verified for k in {{4,5}}, got k={k}")
+    if n < k:
+        raise ValueError(f"tightness needs n >= k, got n={n}, k={k}")
     t0 = time.perf_counter()
     g = extremal(n, k)
     extremal_ec, _ = thresholds(n, k)
@@ -364,6 +371,13 @@ def falsify_two_cliques(
     )
 
 
+# Largest n per k, in steps of 10, whose count takes under 10 s at eps 0.1
+# (one core of a 2-core Xeon VM): counting rainbow K_k grows about as n^k.
+# k = 5 takes 8.0 s at n = 80 and 11.5 s at 90; k = 6 takes 4.8 s at n = 40
+# and 16 s at 50.  k = 4 takes 0.6 s at n = 100.
+_SUPERSAT_MAX_N = {3: 100, 4: 100, 5: 80, 6: 40}
+
+
 def supersaturation_experiment(
     k: int, ns: list[int], eps: float, seed: int
 ) -> tuple[list[tuple[int, int, int]], float]:
@@ -383,10 +397,11 @@ def supersaturation_experiment(
         raise ValueError(
             f"target {budget:.6g}*C(n,2) exceeds the all-rainbow maximum 2*C(n,2)"
         )
+    cap = _SUPERSAT_MAX_N[k]
+    if max(ns) > cap:
+        raise ValueError(f"experiment for k={k} capped at n <= {cap}, got n={max(ns)}")
     rows = []
     for n in ns:
-        if n > 100:
-            raise ValueError(f"experiment capped at n <= 100, got n={n}")
         target = ceil(budget * comb(n, 2))
         g = perturb_fresh_colors(extremal(n, k), target, seed)
         cnt = count_rainbow_cliques(g, k)

@@ -2,7 +2,7 @@ from math import ceil, comb
 
 import pytest
 
-from rainbow_cliques import count_rainbow_cliques, extremal, perturb_fresh_colors
+from rainbow_cliques import count_rainbow_cliques, extremal, perturb_fresh_colors, verify
 from rainbow_cliques.cli import run
 from oracles import count_rainbow_cliques_naive
 
@@ -53,6 +53,21 @@ def test_verify_triangle(capsys):
 def test_verify_tightness_flags(capsys):
     assert run(["verify", "tightness", "--n", "8", "--k", "4"]) == 0
     assert run(["verify", "tightness"]) == 2
+
+
+@pytest.mark.parametrize("n, k", [("2", "4"), ("3", "5")])
+def test_verify_tightness_below_k_exit_2(n, k, capsys):
+    assert run(["verify", "tightness", "--n", n, "--k", k]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: tightness needs n >= k, got n={n}, k={k}\n"
+
+
+@pytest.mark.parametrize("n, k", [("4", "4"), ("5", "5"), ("8", "4"), ("9", "5")])
+def test_verify_tightness_from_n_equals_k_reports_ce_0(n, k, capsys):
+    assert run(["verify", "tightness", "--n", n, "--k", k]) == 0
+    fields = capsys.readouterr().out.split()
+    assert fields[:2] == ["LEMMA", f"tightness-n{n}-k{k}"] and fields[4:6] == ["CE", "0"]
 
 
 def test_two_cliques_range_error(capsys):
@@ -138,6 +153,20 @@ def test_supersat_k5_k6_counts_match_the_oracle(k, capsys):
         assert count == count_rainbow_cliques(g, k) > 0
         assert line == f"{n},{g.e + g.c},{count}"
     assert lines[3].startswith("slope=")
+
+
+@pytest.mark.parametrize("k, ns, cap, n", [
+    ("6", "30,100", 40, 100), ("6", "41,30", 40, 41),
+    ("5", "30,81", 80, 81), ("3", "10,101", 100, 101),
+])
+def test_supersat_n_above_the_cap_for_k_exit_2_before_counting(k, ns, cap, n, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("counted before checking the cap")
+
+    monkeypatch.setattr(verify, "count_rainbow_cliques", refuse)
+    assert run(["supersat", "--k", k, "--ns", ns, "--eps", "0.1"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: experiment for k={k} capped at n <= {cap}, got n={n}\n"
 
 
 def test_supersat_k_outside_3_to_6_exit_2(capsys):

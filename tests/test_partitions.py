@@ -14,6 +14,16 @@ def exactly(m, r):
     return survivors
 
 
+def random_cut(rng, m):
+    """1..4 element indices below m: a single index now and then, and in a
+    third of the cuts drawn with replacement, so an index may repeat (such a
+    cut is never rainbow)."""
+    size = rng.randint(1, min(m, 4))
+    if rng.random() < 1 / 3:
+        return tuple(rng.choices(range(m), k=size))
+    return tuple(rng.sample(range(m), size))
+
+
 def all_rgs(m):
     """Brute force: every restricted growth string of length m, each prefix
     extended by every block used so far and by one new block."""
@@ -99,14 +109,13 @@ class TestAllPartitions:
         for m in range(0, 9):
             every = all_rgs(m)
             assert len(every) == bell(m)
-            for _ in range(12):
-                # lo > m and hi < lo are infeasible: no survivors, nothing skipped
-                lo = rng.randint(0, m + 1)
+            for _ in range(30):
+                # lo > m and hi < lo are infeasible: no survivors, nothing
+                # skipped.  lo = m - 1 or m leaves at most one position that
+                # reuses a block, where the lookahead prunes.
+                lo = rng.choice((rng.randint(0, m + 1), rng.randint(max(m - 1, 0), m)))
                 hi = rng.randint(lo - 1, m + 1)
-                cuts = [
-                    tuple(rng.sample(range(m), rng.randint(1, min(m, 4))))
-                    for _ in range(rng.randint(0, 4) if m else 0)
-                ]
+                cuts = [random_cut(rng, m) for _ in range(rng.randint(0, 4) if m else 0)]
                 survivors, skipped = rainbow_pruned_partitions(m, lo, hi, cuts)
                 in_range = [g for g in every if lo <= len(set(g)) <= hi]
                 expect = {
