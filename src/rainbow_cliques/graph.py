@@ -191,46 +191,47 @@ def saturation(g: ColoredGraph) -> SaturationProfile:
 def parse_ecg(text: str) -> ColoredGraph:
     n = m = None
     colors: dict[tuple[int, int], int] = {}
-    seen_edges = 0
     for line_no, raw in enumerate(text.split("\n"), start=1):
-        line = raw.rstrip("\r").strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
+        # a line takes one split, one int map and one range test; which
+        # message applies is worked out only once a test fails
         if n is None:
-            if len(parts) != 2:
-                raise ECGParseError(line_no, f"expected header 'n m', got {line!r}")
             try:
-                n, m = int(parts[0]), int(parts[1])
+                n, m = map(int, parts)
             except ValueError:
+                line = raw.strip()
+                if len(parts) != 2:
+                    raise ECGParseError(line_no, f"expected header 'n m', got {line!r}") from None
                 raise ECGParseError(line_no, f"non-integer header field in {line!r}") from None
             if n <= 0 or m < 0:
                 raise ECGParseError(line_no, f"invalid header values n={n} m={m}")
             continue
-        if len(parts) != 3:
-            raise ECGParseError(line_no, f"expected edge line 'u v c', got {line!r}")
         try:
-            u, v, c = (int(p) for p in parts)
+            u, v, c = map(int, parts)
         except ValueError:
+            line = raw.strip()
+            if len(parts) != 3:
+                raise ECGParseError(line_no, f"expected edge line 'u v c', got {line!r}") from None
             raise ECGParseError(line_no, f"non-integer edge field in {line!r}") from None
-        if u == v:
-            raise ECGParseError(line_no, f"self-loop at vertex {u}")
-        if u > v:
-            raise ECGParseError(line_no, f"edge endpoints out of order: {u} > {v}")
-        if not (1 <= u and v <= n):
-            raise ECGParseError(line_no, f"vertex out of range in edge ({u},{v}), n={n}")
-        if c <= 0:
+        if not (0 < u < v <= n and c > 0):
+            if u == v:
+                raise ECGParseError(line_no, f"self-loop at vertex {u}")
+            if u > v:
+                raise ECGParseError(line_no, f"edge endpoints out of order: {u} > {v}")
+            if u < 1 or v > n:
+                raise ECGParseError(line_no, f"vertex out of range in edge ({u},{v}), n={n}")
             raise ECGParseError(line_no, f"nonpositive color {c}")
         if (u, v) in colors:
             raise ECGParseError(line_no, f"duplicate edge ({u},{v})")
-        colors[(u, v)] = c
-        seen_edges += 1
-        if seen_edges > m:
+        if len(colors) == m:
             raise ECGParseError(line_no, f"more than the declared {m} edges")
+        colors[(u, v)] = c
     if n is None:
         raise ECGParseError(1, "empty document")
-    if seen_edges != m:
-        raise ECGParseError(line_no, f"declared {m} edges but found {seen_edges}")
+    if len(colors) != m:
+        raise ECGParseError(line_no, f"declared {m} edges but found {len(colors)}")
     return ColoredGraph(n, colors)
 
 

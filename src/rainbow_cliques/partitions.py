@@ -57,12 +57,17 @@ def rainbow_pruned_partitions(
     positions to open new blocks, which leaves at most r reuses.  So a node
     is skipped when r = 0 and some cut is open, or when r = 1 and the open
     cuts share no unassigned position.  Cuts that repeat an index are never
-    rainbow and are dropped first.
+    rainbow and are dropped first.  A cut that is empty or has an index
+    outside 0..m-1 raises ValueError.
 
     Returns the surviving RGS and the exact number of RGS in the skipped
     subtrees, so survivors + skipped is the sum of S(m, r) over r = lo..hi."""
     if m < 0:
         raise ValueError(f"need m >= 0, got m={m}")
+    cuts = list(cuts)
+    for ids in cuts:
+        if not ids or not all(0 <= i < m for i in ids):
+            raise ValueError(f"cut {ids} needs one or more indices in 0..{m - 1}")
     if max(lo, 0) > min(hi, m):
         return [], 0
     # a cut that repeats an index is never rainbow

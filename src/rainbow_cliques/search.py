@@ -5,9 +5,11 @@ All finders are deterministic: when several witnesses exist, the one with the
 lexicographically smallest vertex list (under the canonical orientation of the
 pattern) is returned.  Clique search uses ordered backtracking over vertices
 with adjacency bitmasks, in two forms.  Counting keeps only the candidates
-that extend the current clique to a rainbow clique, filtered by per-color
-neighbour masks (or checked one by one where that costs fewer operations),
-so the clique on k-1 vertices adds one popcount and no k-clique is visited.
+that extend the current clique to a rainbow clique, so the clique on k-1
+vertices adds one popcount and no k-clique is visited.  The candidates are
+filtered by one mask per added vertex, ORed from a table built once per
+count: for each edge uv, the vertices w that make triangle uvw not
+rainbow, and per-color neighbour masks for the colors on two or more edges.
 Finding stops at a limit (the first clique, or the falsifier's second) and
 checks each candidate's colors against the used ones: a hit comes early
 there, and the mask table would cost more than the search.
@@ -17,7 +19,6 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations, islice
-from operator import itemgetter
 
 from .graph import ColoredGraph, Witness
 from .turan import turan_partition
@@ -130,7 +131,15 @@ def count_rainbow_cliques(g: ColoredGraph, k: int) -> int:
 
     The backtracking keeps `cand` equal to the vertices above the clique's
     last vertex that extend the clique to a rainbow clique, so the clique on
-    k-1 vertices adds the popcount of `cand` and no leaf is visited."""
+    k-1 vertices adds the popcount of `cand` and no leaf is visited.
+
+    N_c(x) is x's neighbours over an edge of color c, kept only for the
+    colors on two or more edges, as a color on one edge cannot repeat.
+    conflict(u, v), stored once per edge, is the w with c(w,u) = c(u,v),
+    c(w,v) = c(u,v) or c(w,u) = c(w,v).  Adding v to the clique Q, whose
+    edges use the colors U, keeps the w in cand & adj[v] above v outside
+    the union of conflict(u, v) over u in Q, of N_c(v) over c in U, and of
+    N_{c(v,u')}(u) over u != u' in Q (u = u' adds nothing to conflict)."""
     if k < 1:
         raise ValueError(f"clique size must be positive, got k={k}")
     if k > g.n:
@@ -139,65 +148,61 @@ def count_rainbow_cliques(g: ColoredGraph, k: int) -> int:
         return g.n if k == 1 else g.e  # every vertex and every edge is rainbow
     cm = g.color_matrix
     adj = g.adj
-    # at[v][c]: v's neighbours over an edge of color c; shared[v] keeps the
-    # colors on two or more edges, the only ones that can join a candidate
-    # to two clique vertices
+    multi = {c for c, size in Counter(g.colors.values()).items() if size >= 2}
+    # at[x][c] is N_c(x)
     at: list[dict[int, int]] = [{} for _ in range(g.n + 1)]
     for (u, v), c in g.colors.items():
-        at[u][c] = at[u].get(c, 0) | 1 << v
-        at[v][c] = at[v].get(c, 0) | 1 << u
-    size = Counter(g.colors.values())
-    shared = [{c: m for c, m in row.items() if size[c] >= 2} for row in at]
+        if c in multi:
+            at[u][c] = at[u].get(c, 0) | 1 << v
+            at[v][c] = at[v].get(c, 0) | 1 << u
+    # conflict[v][u] is conflict(u, v) for the edge uv with u < v
+    conflict: list[dict[int, int]] = [{} for _ in range(g.n + 1)]
+    for (u, v), c in g.colors.items():
+        au, av = at[u], at[v]
+        drop = au.get(c, 0) | av.get(c, 0)
+        for c2 in au.keys() & av.keys():
+            drop |= au[c2] & av[c2]
+        conflict[v][u] = drop
 
-    def rec(clique: list[int], used: set[int], cand: int) -> int:
+    # `used` keeps the colors of U in `multi`: N_c is empty for the others
+    def rec(clique: list[int], used: list[int], cand: int) -> int:
         total = 0
-        q1 = len(clique) + 1
-        last = q1 == k - 1
-        # operations of the mask filter below; the per-candidate check
-        # costs q1 per candidate
-        mask_cost = len(used) + len(clique) * q1
-        for v in _iter_bits(cand):
-            ext = cand & adj[v] & ~((2 << v) - 1)
+        last = len(clique) == k - 2
+        # each round takes the lowest vertex v out of cand, which leaves the
+        # candidates above v
+        while cand:
+            b = cand & -cand
+            cand ^= b
+            v = b.bit_length() - 1
+            ext = cand & adj[v]
             if not ext:
                 continue
+            cv = conflict[v]
+            av = at[v]
             row = cm[v]
-            new = [row[u] for u in clique]
-            # keep the w in ext with c(w,v) not in used or new, no c(w,u) in
-            # new and no c(w,u) equal to c(w,v), by whichever filter is cheaper
-            if ext.bit_count() * q1 <= mask_cost:
-                bad = used.union(new)
-                get = itemgetter(*clique, v)
-                keep = 0
-                for w in _iter_bits(ext):
-                    cols = set(get(cm[w]))
-                    if len(cols) == q1 and cols.isdisjoint(bad):
-                        keep |= 1 << w
-                ext = keep
-            else:
-                av = at[v]
-                sv = shared[v].items()
-                drop = 0
-                for c in used:
-                    drop |= av.get(c, 0)
+            new = []
+            drop = 0
+            for u in clique:
+                drop |= cv[u]
+                c = row[u]
+                if c in multi:
+                    new.append(c)
+            for c in used:
+                drop |= av.get(c, 0)
+            if len(clique) > 1:
                 for c in new:
-                    drop |= av.get(c, 0)
-                for u in clique:
-                    au = at[u]
-                    for c in new:
-                        drop |= au.get(c, 0)
-                    su = shared[u]
-                    for c, m in sv:
-                        drop |= m & su.get(c, 0)
-                ext &= ~drop
+                    for u in clique:
+                        drop |= at[u].get(c, 0)
+            ext &= ~drop
             if last:
                 total += ext.bit_count()
             elif ext:
                 clique.append(v)
-                total += rec(clique, used.union(new), ext)
+                total += rec(clique, used + new, ext)
                 clique.pop()
         return total
 
-    return sum(rec([u], set(), adj[u] & ~((2 << u) - 1)) for u in range(1, g.n + 1))
+    return sum(rec([u], [], adj[u] & ~((2 << u) - 1)) for u in range(1, g.n + 1))
 
 
 def find_rainbow_complete_bipartite(g: ColoredGraph, a: int, b: int) -> Witness | None:

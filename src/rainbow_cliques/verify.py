@@ -108,15 +108,19 @@ def verify_triangle_threshold(n: int) -> VerificationReport:
     space = 0
     ces: list[ColoredGraph] = []
     for subset_mask in range(1 << len(all_edges)):
+        m = subset_mask.bit_count()
+        lo = max(threshold - m, 0)
+        if lo > m:
+            # e + c <= 2m < threshold: every coloring lies below it, none is built
+            space += completions(m, 0, 0, m)
+            continue
         edges = [all_edges[i] for i in range(len(all_edges)) if subset_mask >> i & 1]
-        m = len(edges)
         edge_index = {e: i for i, e in enumerate(edges)}
         tri_edge_ids = [
             tuple(edge_index[e] for e in ((a, b), (a, c), (b, c)))
             for a, b, c in triples
             if (a, b) in edge_index and (a, c) in edge_index and (b, c) in edge_index
         ]
-        lo = max(threshold - m, 0)
         survivors, skipped = rainbow_pruned_partitions(m, lo, m, tri_edge_ids)
         space += completions(m, 0, 0, lo - 1) + skipped + len(survivors)
         for rgs in survivors:
@@ -371,11 +375,11 @@ def falsify_two_cliques(
     )
 
 
-# Largest n per k, in steps of 10, whose count takes under 10 s at eps 0.1
-# (one core of a 2-core Xeon VM): counting rainbow K_k grows about as n^k.
-# k = 5 takes 8.0 s at n = 80 and 11.5 s at 90; k = 6 takes 4.8 s at n = 40
-# and 16 s at 50.  k = 4 takes 0.6 s at n = 100.
-_SUPERSAT_MAX_N = {3: 100, 4: 100, 5: 80, 6: 40}
+# Largest n per k, in steps of 10 up to 100, whose count takes under 10 s at
+# eps 0.1, seed 1 (one core of a 2-core VM): counting rainbow K_k grows
+# about as n^k.  k = 6 takes 6.5-7.6 s at n = 60 and 16.5-17.0 s at 70;
+# k = 5 takes 4.6 s and k = 4 0.2 s at n = 100.
+_SUPERSAT_MAX_N = {3: 100, 4: 100, 5: 100, 6: 60}
 
 
 def supersaturation_experiment(

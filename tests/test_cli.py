@@ -156,8 +156,8 @@ def test_supersat_k5_k6_counts_match_the_oracle(k, capsys):
 
 
 @pytest.mark.parametrize("k, ns, cap, n", [
-    ("6", "30,100", 40, 100), ("6", "41,30", 40, 41),
-    ("5", "30,81", 80, 81), ("3", "10,101", 100, 101),
+    ("6", "30,100", 60, 100), ("6", "61,30", 60, 61),
+    ("5", "30,101", 100, 101), ("3", "10,101", 100, 101),
 ])
 def test_supersat_n_above_the_cap_for_k_exit_2_before_counting(k, ns, cap, n, capsys, monkeypatch):
     def refuse(*args):

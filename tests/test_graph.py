@@ -69,6 +69,27 @@ class TestParse:
         with pytest.raises(ECGParseError):
             parse_ecg("# nothing here\n")
 
+    @pytest.mark.parametrize("text, line_no, message", [
+        ("# c\n3\n", 2, "expected header 'n m', got '3'"),
+        ("3 x\n", 1, "non-integer header field in '3 x'"),
+        ("\n0 1\n", 2, "invalid header values n=0 m=1"),
+        ("3 1\n 1 2 \t\r\n", 2, "expected edge line 'u v c', got '1 2'"),
+        ("3 1\r\n1 2 c\r\n", 2, "non-integer edge field in '1 2 c'"),
+        ("3 1\n2 2 1\n", 2, "self-loop at vertex 2"),
+        ("3 1\n3 1 0\n", 2, "edge endpoints out of order: 3 > 1"),
+        ("3 1\n0 4 -1\n", 2, "vertex out of range in edge (0,4), n=3"),
+        ("3 1\n1 2 -5\n", 2, "nonpositive color -5"),
+        ("3 2\n1 2 1\n# c\n1 2 2\n", 4, "duplicate edge (1,2)"),
+        ("3 1\n1 2 1\n\n2 3 1\n", 4, "more than the declared 1 edges"),
+        ("# only\n\n", 1, "empty document"),
+        ("3 2\n1 2 1\n\n# end\n", 5, "declared 2 edges but found 1"),
+    ])
+    def test_error_message_and_line(self, text, line_no, message):
+        with pytest.raises(ECGParseError) as info:
+            parse_ecg(text)
+        assert str(info.value) == f"line {line_no}: {message}"
+        assert info.value.line_no == line_no
+
 
 class TestFormat:
     def test_writer_sorted_lf(self):

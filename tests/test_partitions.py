@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -85,6 +86,14 @@ class TestCursor:
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             rainbow_pruned_partitions(-1, 2, 2)
+
+    @pytest.mark.parametrize("cut", [(-1, 0), (5,), ()])
+    def test_cut_outside_the_indices_names_the_cut(self, cut):
+        # alone, (-1, 0) once read the getter's padding slot and kept all 5 RGS;
+        # (5,) raised a bare IndexError and () an error from max()
+        message = rf"^cut {re.escape(str(cut))} needs one or more indices in 0\.\.2$"
+        with pytest.raises(ValueError, match=message):
+            rainbow_pruned_partitions(3, 0, 3, [(0, 1), cut])
 
 
 class TestAllPartitions:

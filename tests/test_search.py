@@ -105,11 +105,25 @@ class TestCountRainbowCliques:
     def test_matches_naive_oracle(self):
         rng = random.Random(23)
         graphs = [random_colored_graph(rng, rng.randint(3, 9)) for _ in range(100)]
-        # one large shared class plus fresh colors: the shared-color filter
+        # one large color class plus fresh colors, as in the supersaturation
+        # experiment
         for n in range(3, 11):
             for k in range(3, n + 3):
                 base = extremal(n, k)
                 graphs.append(perturb_fresh_colors(base, rng.randint(base.e + base.c, 2 * base.e), n))
+        # 1-6 colors on complete and non-complete graphs.  With 1-3 colors a
+        # color repeats at a vertex (c(w,u) = c(w,v)); with 4-6 a rainbow
+        # triangle and a candidate can also repeat one across the clique
+        # (c(w,u) = c(v,u'))
+        for _ in range(160):
+            n = rng.randint(3, 10)
+            palette = rng.randint(1, 6)
+            p = rng.choice((0.5, 0.8, 0.95, 1.0))
+            colors = {
+                e: rng.randint(1, palette)
+                for e in combinations(range(1, n + 1), 2) if rng.random() < p
+            }
+            graphs.append(ColoredGraph(n, colors))
         for g in graphs:
             for k in range(1, 8):
                 assert count_rainbow_cliques(g, k) == count_rainbow_cliques_naive(g, k)
