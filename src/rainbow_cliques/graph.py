@@ -7,6 +7,7 @@ construction and every operation is a pure function of its inputs.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
@@ -184,13 +185,25 @@ def saturation(g: ColoredGraph) -> SaturationProfile:
 # -- ECG text format ------------------------------------------------------
 #
 # line 1: `n m`; then exactly m lines `u v c` with 1 <= u < v <= n and c >= 1.
-# Lines beginning `#` and blank lines are ignored.  LF or CRLF accepted; the
-# writer emits LF with edges sorted lexicographically by (u, v).
+# A field is an optional `-` and ASCII digits.  Lines beginning `#` and blank
+# lines are ignored.  LF or CRLF accepted; the writer emits LF with edges
+# sorted lexicographically by (u, v).
+
+_FIELD = re.compile(r"-?[0-9]+")
+
+
+def _field(text: str) -> int:
+    if not _FIELD.fullmatch(text):
+        raise ValueError(text)
+    return int(text)
 
 
 def parse_ecg(text: str) -> ColoredGraph:
     n = m = None
     colors: dict[tuple[int, int], int] = {}
+    # int() also reads `1_0`, `+1` and non-ASCII digits, so only a document
+    # holding `_`, `+` or non-ASCII text pays for a check of every field
+    to_int = _field if not text.isascii() or "_" in text or "+" in text else int
     for line_no, raw in enumerate(text.split("\n"), start=1):
         parts = raw.split()
         if not parts or parts[0].startswith("#"):
@@ -199,7 +212,7 @@ def parse_ecg(text: str) -> ColoredGraph:
         # message applies is worked out only once a test fails
         if n is None:
             try:
-                n, m = map(int, parts)
+                n, m = map(to_int, parts)
             except ValueError:
                 line = raw.strip()
                 if len(parts) != 2:
@@ -209,7 +222,7 @@ def parse_ecg(text: str) -> ColoredGraph:
                 raise ECGParseError(line_no, f"invalid header values n={n} m={m}")
             continue
         try:
-            u, v, c = map(int, parts)
+            u, v, c = map(to_int, parts)
         except ValueError:
             line = raw.strip()
             if len(parts) != 3:

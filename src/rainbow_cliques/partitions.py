@@ -55,10 +55,16 @@ def rainbow_pruned_partitions(
     its unassigned positions reuses a block, i.e. joins a block opened at an
     earlier position.  Reaching lo blocks needs lo - blocks of the remaining
     positions to open new blocks, which leaves at most r reuses.  So a node
-    is skipped when r = 0 and some cut is open, or when r = 1 and the open
-    cuts share no unassigned position.  Cuts that repeat an index are never
-    rainbow and are dropped first.  A cut that is empty or has an index
-    outside 0..m-1 raises ValueError.
+    is skipped when r = 0 and some cut is open.  At r = 1 the one reuse p
+    breaks an open cut exactly when p is one of its unassigned positions and
+    joins a block its assigned elements hold, or the block that one of its
+    earlier unassigned positions opened.  So a node is skipped when r = 1
+    and the open cuts share no unassigned position, or share exactly one and
+    no block held by all of them (a cut with no assigned element holds
+    none).  Both rules are exact: a node with r <= 1 that is not skipped
+    has a surviving completion.  Cuts that repeat an index are never rainbow
+    and are dropped first.  A cut that is empty or has an index outside
+    0..m-1 raises ValueError.
 
     Returns the surviving RGS and the exact number of RGS in the skipped
     subtrees, so survivors + skipped is the sum of S(m, r) over r = lo..hi."""
@@ -85,14 +91,15 @@ def rainbow_pruned_partitions(
     skipped = 0
     # rows[pos]: the cuts still unfinished once pos positions are assigned,
     # as (whether one has under two assigned elements, so is surely open;
-    # the AND of those cuts' unassigned masks, -1 for none; (getter, size,
-    # unassigned mask) for each of the rest).  A row is built on first use:
-    # building every row up front made the triangle verifier's ~1,100 calls
-    # here take about 1.6x as long.
+    # the AND of those cuts' unassigned masks, -1 for none; 0 if one of them
+    # has no assigned element, else -1; the assigned index of each of the
+    # others; (getter, size, unassigned mask) for each of the rest).  A row
+    # is built on first use: building every row up front made the triangle
+    # verifier's ~1,100 calls here take about 1.6x as long.
     rows: list = [None] * m
 
     def open_cuts(pos: int):
-        sure, need, tested = False, -1, []
+        sure, need, held, singles, tested = False, -1, -1, set(), []
         for ids in cuts:
             if max(ids) < pos:
                 continue
@@ -100,24 +107,35 @@ def rainbow_pruned_partitions(
             mask = sum(1 << i for i in ids if i >= pos)
             if len(done) < 2:
                 sure, need = True, need & mask
+                if done:
+                    singles.add(done[0])
+                else:
+                    held = 0
             else:
                 tested.append((itemgetter(*done), len(done), mask))
-        rows[pos] = sure, need, tested
+        rows[pos] = sure, need, held, tuple(singles), tested
         return rows[pos]
 
     def doomed(pos: int, reuses: int) -> bool:
         """Whether every completion of this node makes some cut rainbow."""
-        sure, need, tested = rows[pos] or open_cuts(pos)
+        sure, need, held, singles, tested = rows[pos] or open_cuts(pos)
         if not reuses:
             need = 0
         if sure and not need:
             return True
+        for i in singles:
+            held &= bits[i]
         for test, size, mask in tested:
-            if sum(test(bits)).bit_count() == size:
+            h = sum(test(bits))
+            if h.bit_count() == size:
                 need &= mask
                 if not need:
                     return True
-        return False
+                held &= h
+        # the one reuse p must lie in every open cut's unassigned positions
+        # and join a block that all of them hold or that an earlier such
+        # position opened
+        return not (held or need & (need - 1))
 
     # every node keeps blocks + (m - pos) >= lo, so lo stays reachable
     def rec(pos: int, blocks: int) -> None:

@@ -62,9 +62,12 @@ def parse_report(text: str) -> VerificationReport:
 
     def number(name: str) -> int:
         try:
-            return int(fields[fields.index(name) + 1])
+            value = int(fields[fields.index(name) + 1])
         except (ValueError, IndexError):
             raise ValueError(f"line 1: no integer {name} field in {lines[0]!r}") from None
+        if value < 0:
+            raise ValueError(f"line 1: negative {name} field in {lines[0]!r}")
+        return value
 
     space, ce_count, ms = number("SPACE"), number("CE"), number("TIME")
     ces = []
@@ -87,6 +90,12 @@ def parse_report(text: str) -> VerificationReport:
             # renumber from the block's first line to the report's
             raise ECGParseError(pos + exc.line_no, str(exc).partition(": ")[2]) from None
         pos += m + 1
+    for i in range(pos, len(lines)):
+        if lines[i].strip():
+            raise ValueError(
+                f"line {i + 1}: text after the {ce_count} declared counterexamples: "
+                f"{lines[i]!r}"
+            )
     return VerificationReport(fields[1], space, ces, ms / 1000.0)
 
 
@@ -146,7 +155,9 @@ def verify_k6_dichotomy() -> VerificationReport:
     """Enumerate all set partitions of the 15 edges of K6 into exactly 10
     classes.  Any coloring with a rainbow K4 satisfies the lemma vacuously,
     so a subtree is skipped (with its size counted exactly) once a completed
-    4-subset is rainbow.  Each surviving coloring must have saturation
+    4-subset is rainbow, or once every completion must make some 4-subset
+    rainbow, which the enumerator decides exactly where at most one block
+    reuse is left.  Each surviving coloring must have saturation
     tallies (c_2,c_1,c_0) = (9,0,1) and contain a rainbow T_{6,2} or a
     monochromatic C_6."""
     t0 = time.perf_counter()

@@ -83,12 +83,23 @@ class TestParse:
         ("3 1\n1 2 1\n\n2 3 1\n", 4, "more than the declared 1 edges"),
         ("# only\n\n", 1, "empty document"),
         ("3 2\n1 2 1\n\n# end\n", 5, "declared 2 edges but found 1"),
+        # a field is an optional `-` and ASCII digits; int() alone would read
+        # 1_0, +1, ٢ and +2 as 10, 1, 2 and 2
+        ("2 1\n1 2 1_0\n", 2, "non-integer edge field in '1 2 1_0'"),
+        ("2 1\n+1 2 1\n", 2, "non-integer edge field in '+1 2 1'"),
+        ("2 1\n1 ٢ 1\n", 2, "non-integer edge field in '1 ٢ 1'"),
+        ("+2 1\n1 2 1\n", 1, "non-integer header field in '+2 1'"),
+        ("# +_é\n3 1\n1 2 -1\n", 3, "nonpositive color -1"),
     ])
     def test_error_message_and_line(self, text, line_no, message):
         with pytest.raises(ECGParseError) as info:
             parse_ecg(text)
         assert str(info.value) == f"line {line_no}: {message}"
         assert info.value.line_no == line_no
+
+    def test_comment_with_underscore_plus_or_non_ascii_parses(self):
+        g = parse_ecg("# n_m +1 é٢\n3 2\n#  \n1 2 1\n2 3 07\n")
+        assert g.colors == {(1, 2): 1, (2, 3): 7}
 
 
 class TestFormat:

@@ -136,3 +136,39 @@ class TestAllPartitions:
                 assert len(survivors) + skipped == len(in_range) == sum(
                     stirling2(m, r) for r in range(lo, hi + 1)
                 )
+
+
+class TestOneReuseLookahead:
+    """With lo = m - 1 exactly one position reuses a block, and the
+    lookahead decides each node exactly: the reuse p must lie in every open
+    cut's unassigned positions and join a block all of them hold, or the
+    block an earlier such position opened."""
+
+    @staticmethod
+    def brute_force(m, lo, hi, cuts):
+        return sorted(
+            g for g in all_rgs(m)
+            if lo <= len(set(g)) <= hi
+            and not any(len({g[i] for i in ids}) == len(ids) for ids in cuts)
+        )
+
+    def check(self, m, lo, hi, cuts, expect):
+        survivors, skipped = rainbow_pruned_partitions(m, lo, hi, cuts)
+        assert survivors == self.brute_force(m, lo, hi, cuts) == expect
+        assert len(survivors) + skipped == sum(stirling2(m, r) for r in range(lo, hi + 1))
+
+    def test_reuse_joins_a_block_every_open_cut_holds(self):
+        # below 0123 the cuts hold block 0 and share position 4 alone
+        self.check(5, 4, 4, [(0, 1, 4), (0, 2, 4), (0, 3, 4)], [(0, 1, 2, 3, 0)])
+
+    def test_reuse_joins_the_block_a_shared_position_opened(self):
+        # below 012 the cuts hold blocks 0, 1, 2 (none in common) and share
+        # positions 3 and 4, so 4 must join the block 3 opens
+        self.check(5, 4, 4, [(0, 3, 4), (1, 3, 4), (2, 3, 4)], [(0, 1, 2, 3, 3)])
+
+    def test_one_shared_position_and_no_common_block_has_no_survivor(self):
+        # below 0123 the cuts share only position 4 and hold blocks {0, 1}
+        # and {2, 3}; with a second reuse 4 can join block 1 once 2 joined it
+        cuts = [(0, 1, 4), (2, 3, 4)]
+        self.check(5, 4, 4, cuts, [])
+        assert (0, 1, 1, 2, 1) in rainbow_pruned_partitions(5, 3, 4, cuts)[0]

@@ -206,3 +206,18 @@ class TestReportFormat:
     def test_header_without_time_names_the_line(self):
         with pytest.raises(ValueError, match="^line 1: no integer TIME field"):
             parse_report("LEMMA x SPACE 1 CE 0")
+
+    @pytest.mark.parametrize("name", ["SPACE", "CE", "TIME"])
+    def test_negative_field_names_the_line(self, name):
+        fields = {"SPACE": 5, "CE": 0, "TIME": 3, name: -1}
+        text = "LEMMA x " + " ".join(f"{k} {v}" for k, v in fields.items()) + "\n"
+        with pytest.raises(ValueError, match=f"^line 1: negative {name} field"):
+            parse_report(text)
+
+    def test_text_after_the_last_counterexample_names_the_line(self):
+        with pytest.raises(ValueError, match="^line 2: text after the 0 declared"):
+            parse_report("LEMMA x SPACE 5 CE 0 TIME 3\n2 1\n1 2 1\n")
+        ce = format_report(VerificationReport("x", 5, [ColoredGraph(2, {(1, 2): 1})]))
+        with pytest.raises(ValueError, match="^line 5: text after the 1 declared"):
+            parse_report(ce + "\n2 1\n1 2 1\n")
+        assert parse_report(ce + "\n \n").counterexamples == [ColoredGraph(2, {(1, 2): 1})]
