@@ -19,7 +19,7 @@ from itertools import combinations
 from math import ceil, comb, factorial, isfinite, log
 
 from .constructions import _recolor_fresh, extremal, perturb_fresh_colors
-from .graph import ColoredGraph, ECGParseError, format_ecg, parse_ecg, saturation
+from .graph import ColoredGraph, ECGParseError, _field, format_ecg, parse_ecg, saturation
 from .partitions import completions, rainbow_pruned_partitions, stirling2
 from .search import (
     _rainbow_cliques,
@@ -58,18 +58,24 @@ def parse_report(text: str) -> VerificationReport:
     lines = text.splitlines()
     if not lines or not lines[0].startswith("LEMMA "):
         raise ValueError("report must start with a LEMMA line")
+    # the fixed prefix `LEMMA <id> SPACE n CE n TIME n`, read by position
     fields = lines[0].split()
 
-    def number(name: str) -> int:
+    def number(pos: int, name: str) -> int:
         try:
-            value = int(fields[fields.index(name) + 1])
+            if fields[pos - 1] != name:
+                raise ValueError(name)
+            value = _field(fields[pos])
         except (ValueError, IndexError):
             raise ValueError(f"line 1: no integer {name} field in {lines[0]!r}") from None
         if value < 0:
             raise ValueError(f"line 1: negative {name} field in {lines[0]!r}")
         return value
 
-    space, ce_count, ms = number("SPACE"), number("CE"), number("TIME")
+    space, ce_count, ms = number(3, "SPACE"), number(5, "CE"), number(7, "TIME")
+    keys = fields[2::2]
+    if len(set(keys)) != len(keys):
+        raise ValueError(f"line 1: repeated field in {lines[0]!r}")
     ces = []
     pos = 1
     for i in range(ce_count):
@@ -80,7 +86,7 @@ def parse_report(text: str) -> VerificationReport:
                 f"line {pos + 1}: report ends before counterexample {i + 1} of {ce_count}"
             )
         header = lines[pos].split()
-        if len(header) != 2 or not header[1].isdigit():
+        if len(header) != 2 or not (header[1].isascii() and header[1].isdigit()):
             raise ValueError(f"line {pos + 1}: expected an ECG header 'n m', got {lines[pos]!r}")
         m = int(header[1])
         block = lines[pos:pos + m + 1]
@@ -190,102 +196,138 @@ def verify_k6_dichotomy() -> VerificationReport:
 
 # -- labeled regular graph enumeration -------------------------------------
 
-
-def labeled_regular_graphs(n: int, d: int):
-    """Yield every labeled simple d-regular graph on vertices 0..n-1 exactly
-    once, as tuples of adjacency bitmasks.  Backtracking: the smallest
-    deficient vertex is completed first, connecting only forward."""
-    if n * d % 2 != 0 or d >= n:
-        return
-    adj = [0] * n
-    deg = [0] * n
-
-    def rec(u: int):
-        while u < n and deg[u] == d:
-            u += 1
-        if u == n:
-            yield tuple(adj)
-            return
-        need = d - deg[u]
-        candidates = [v for v in range(u + 1, n) if deg[v] < d and not adj[u] >> v & 1]
-        for chosen in combinations(candidates, need):
-            deg[u] += need
-            for v in chosen:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-                deg[v] += 1
-            yield from rec(u)
-            deg[u] -= need
-            for v in chosen:
-                adj[u] &= ~(1 << v)
-                adj[v] &= ~(1 << u)
-                deg[v] -= 1
-
-    yield from rec(0)
+# Completion lists are kept for states with at most this many deficient
+# vertices; states with more are streamed.
+_MEMO_DEFICIENT = 5
 
 
 @lru_cache(maxsize=None)
-def _subset_pair_masks(n: int, size: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Each `size`-subset of range(n), in combinations order, with the mask
-    of its ordered pairs: bit u*n + v for u != v in the subset."""
+def _pair_bits(n: int) -> tuple[tuple[int, ...], ...]:
+    """bits[u][v] (u < v) is 1 << i for the i-th pair of
+    combinations(range(n), 2): the bit of edge uv in an edge mask."""
+    bits = [[0] * n for _ in range(n)]
+    for i, (u, v) in enumerate(combinations(range(n), 2)):
+        bits[u][v] = 1 << i
+    return tuple(map(tuple, bits))
+
+
+def labeled_regular_graphs(n: int, d: int):
+    """Yield every labeled simple d-regular graph on vertices 0..n-1 exactly
+    once, as an edge mask: bit i is the i-th pair of combinations(range(n),
+    2), so at most 36 bits for n <= 9.
+
+    Backtracking completes the smallest deficient vertex first, joining it
+    only to later deficient vertices, so every edge has an end that is full
+    once the edge is added: no edge ever joins two deficient vertices.  The
+    completions of a partial graph therefore depend only on its state, the
+    tuple of (vertex, residual degree) over its deficient vertices.  Each
+    state with at most _MEMO_DEFICIENT deficient vertices lists its
+    completions once; the key keeps the vertex labels, since the edges a
+    completion adds depend on them.  States with more are streamed.  The
+    graphs come in the order of plain backtracking over combinations."""
+    if n * d % 2 != 0 or d >= n:
+        return
+    bits = _pair_bits(n)
+    memo: dict[tuple[tuple[int, int], ...], list[int]] = {}
+
+    def branches(state):
+        # each way to complete state's first vertex: its edges, the next state
+        (u, need), rest = state[0], state[1:]
+        for chosen in combinations(range(len(rest)), need):
+            edges = 0
+            nxt = list(rest)
+            for i in chosen:
+                v, r = rest[i]
+                edges |= bits[u][v]
+                nxt[i] = (v, r - 1)
+            yield edges, tuple(s for s in nxt if s[1])
+
+    def listed(state) -> list[int]:
+        got = memo.get(state)
+        if got is None:
+            got = memo[state] = [
+                e | c for e, nxt in branches(state) for c in listed(nxt)
+            ] if state else [0]
+        return got
+
+    def streamed(state, prefix: int):
+        # the memo lists are read in this frame: one fewer generator to
+        # pass each graph through
+        for e, nxt in branches(state):
+            if len(nxt) > _MEMO_DEFICIENT:
+                yield from streamed(nxt, prefix | e)
+            else:
+                yield from map((prefix | e).__or__, listed(nxt))
+
+    start = tuple((v, d) for v in range(n)) if d else ()
+    yield from streamed(start, 0) if len(start) > _MEMO_DEFICIENT else listed(start)
+
+
+@lru_cache(maxsize=None)
+def _subset_edge_masks(n: int, size: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Each `size`-subset of range(n), in combinations order, with the edge
+    mask of the pairs inside it."""
+    bits = _pair_bits(n)
     return tuple(
-        (sub, sum(1 << u * n + v for u in sub for v in sub if u != v))
+        (sub, sum(bits[u][v] for u, v in combinations(sub, 2)))
         for sub in combinations(range(n), size)
     )
 
 
-def _subsets_with_few_edges(adj: tuple[int, ...], size: int, min_edges: int):
-    """First `size`-subset spanning fewer than min_edges edges, or None.
-    Each edge sets two bits of the graph's pair mask, so a subset's edge
-    count is half the popcount of the pair masks' AND."""
-    n = len(adj)
-    pairs = sum(a << u * n for u, a in enumerate(adj))
-    for sub, mask in _subset_pair_masks(n, size):
-        if (pairs & mask).bit_count() < 2 * min_edges:
+def _subsets_with_few_edges(edges: int, n: int, size: int, min_edges: int):
+    """First `size`-subset of the graph on range(n) with edge mask `edges`
+    that spans fewer than min_edges edges, or None."""
+    for sub, mask in _subset_edge_masks(n, size):
+        if (edges & mask).bit_count() < min_edges:
             return sub
     return None
 
 
-def _mono_graph(adj: tuple[int, ...]) -> ColoredGraph:
+def _pairs(edges: int, n: int) -> list[tuple[int, int]]:
+    """The vertex pairs of an edge mask on range(n), in combinations order."""
+    return [p for i, p in enumerate(combinations(range(n), 2)) if edges >> i & 1]
+
+
+def _mono_graph(edges: int, n: int) -> ColoredGraph:
     """Plain graph as a monochromatic ColoredGraph (for report embedding)."""
-    n = len(adj)
-    colors = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            if adj[i] >> j & 1:
-                colors[(i + 1, j + 1)] = 1
-    return ColoredGraph(n, colors)
+    return ColoredGraph(n, {(u + 1, v + 1): 1 for u, v in _pairs(edges, n)})
 
 
 def _regular_reduction(lemma_id: str, n: int, d: int, size: int) -> VerificationReport:
-    """Enumerate all labeled d-regular graphs on n vertices; keep those in
-    which every `size`-subset spans >= 2 edges; assert the kept graphs are
-    exactly the disjoint unions of K_{d+1}.  A kept graph with an edge whose
-    ends have different closed neighbourhoods is a counterexample (equal ones
-    along every edge make each component a clique, and a d-regular clique is
-    K_{d+1}), and all n!/((d+1)!^q q!) clique unions, q = n/(d+1), must be
-    kept: on a shortfall a second pass reports each one the filter dropped."""
+    """Enumerate all labeled d-regular graphs on n vertices as edge masks
+    (see labeled_regular_graphs); keep those in which every `size`-subset
+    spans >= 2 edges, by ANDing each subset's edge mask with the graph's;
+    assert the kept graphs are exactly the disjoint unions of K_{d+1}.  A
+    kept graph with an edge whose ends have different closed neighbourhoods
+    is a counterexample (equal ones along every edge make each component a
+    clique, and a d-regular clique is K_{d+1}), and all
+    n!/((d+1)!^q q!) clique unions, q = n/(d+1), must be kept: on a
+    shortfall a second pass reports each one the filter dropped.  Only kept
+    graphs and counterexamples are unpacked from their masks."""
     t0 = time.perf_counter()
 
-    def clique_union(adj: tuple[int, ...]) -> bool:
-        closed = [a | 1 << v for v, a in enumerate(adj)]
+    def clique_union(edges: int) -> bool:
+        closed = [1 << v for v in range(n)]
+        for u, v in _pairs(edges, n):
+            closed[u] |= 1 << v
+            closed[v] |= 1 << u
         return all(closed[u] == c for c in closed for u in range(n) if c >> u & 1)
 
     space = kept = 0
     ces: list[ColoredGraph] = []
-    for adj in labeled_regular_graphs(n, d):
+    for edges in labeled_regular_graphs(n, d):
         space += 1
-        if _subsets_with_few_edges(adj, size, 2) is None:
-            if clique_union(adj):
+        if _subsets_with_few_edges(edges, n, size, 2) is None:
+            if clique_union(edges):
                 kept += 1
             else:
-                ces.append(_mono_graph(adj))
+                ces.append(_mono_graph(edges, n))
     q = n // (d + 1)
     if kept != factorial(n) // (factorial(d + 1) ** q * factorial(q)):
         ces.extend(
-            _mono_graph(adj)
-            for adj in labeled_regular_graphs(n, d)
-            if clique_union(adj) and _subsets_with_few_edges(adj, size, 2) is not None
+            _mono_graph(edges, n)
+            for edges in labeled_regular_graphs(n, d)
+            if clique_union(edges) and _subsets_with_few_edges(edges, n, size, 2) is not None
         )
     return VerificationReport(lemma_id, space, ces, time.perf_counter() - t0)
 

@@ -142,3 +142,24 @@ def max_cross_edges_brute_force(n: int, k: int) -> int:
 
     rec(n, k, n, [])
     return best
+
+
+def labeled_regular_graphs_naive(n: int, d: int) -> list[int]:
+    """Every d-regular edge subset of K_n, n <= 6, as an edge mask whose bit
+    i is the i-th pair of combinations(range(n), 2), in increasing order:
+    all 2^C(n,2) subsets are tried, skipping those without n*d/2 edges."""
+    if n > 6:
+        raise ValueError(f"the all-subsets oracle is for n <= 6, got n={n}")
+    pairs = list(combinations(range(n), 2))
+    out = []
+    for mask in range(1 << len(pairs)):
+        if 2 * mask.bit_count() != n * d:
+            continue
+        deg = [0] * n
+        for i, (u, v) in enumerate(pairs):
+            if mask >> i & 1:
+                deg[u] += 1
+                deg[v] += 1
+        if all(x == d for x in deg):
+            out.append(mask)
+    return out

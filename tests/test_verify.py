@@ -1,5 +1,8 @@
+from itertools import combinations
+
 import pytest
 
+from oracles import labeled_regular_graphs_naive
 from rainbow_cliques import (
     ColoredGraph,
     ECGParseError,
@@ -59,12 +62,20 @@ class TestTriangleThreshold:
             verify_triangle_threshold(6)
 
 
+def edge_mask(adj):
+    """Adjacency bitmasks as the enumerator's edge mask: bit i is the i-th
+    pair of combinations(range(n), 2)."""
+    pairs = combinations(range(len(adj)), 2)
+    return sum(1 << i for i, (u, v) in enumerate(pairs) if adj[u] >> v & 1)
+
+
 class TestRegularGraphEnumeration:
     def test_k4_is_only_cubic_on_4(self):
         graphs = list(labeled_regular_graphs(4, 3))
-        assert len(graphs) == 1
+        k4 = tuple(0b1111 & ~(1 << v) for v in range(4))
+        assert graphs == [edge_mask(k4)]
         # sanity mode: every 4-subset of K4 spans 6 >= 2 edges
-        assert _subsets_with_few_edges(graphs[0], 4, 2) is None
+        assert _subsets_with_few_edges(graphs[0], 4, 4, 2) is None
 
     def test_two_regular_on_6(self):
         # 60 labeled C6 plus 10 labeled C3+C3
@@ -72,6 +83,22 @@ class TestRegularGraphEnumeration:
 
     def test_odd_degree_sum_empty(self):
         assert list(labeled_regular_graphs(5, 3)) == []
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_all_subsets_oracle(self, n):
+        for d in range(n + 1):
+            graphs = list(labeled_regular_graphs(n, d))
+            # sorted equality also rules out a graph yielded twice
+            assert sorted(graphs) == labeled_regular_graphs_naive(n, d), (n, d)
+
+    @pytest.mark.parametrize("d, counts", [
+        (2, {3: 1, 4: 3, 5: 12, 6: 70, 7: 465, 8: 3507, 9: 30016}),
+        (3, {4: 1, 6: 70, 8: 19355}),
+        (4, {5: 1, 6: 15, 7: 465, 8: 19355}),
+    ])
+    def test_labeled_counts(self, d, counts):
+        for n, count in counts.items():
+            assert sum(1 for _ in labeled_regular_graphs(n, d)) == count, n
 
 
 class TestK9Eliminations:
@@ -92,33 +119,41 @@ class TestK9Eliminations:
             if adj[sub[i]] >> sub[j] & 1
         )
 
+    def assert_filtered(self, adj):
+        # the mask filter finds a 5-subset that the adjacency count agrees on
+        sub = _subsets_with_few_edges(edge_mask(adj), 9, 5, 2)
+        assert sub is not None and self.count_edges(adj, sub) < 2
+
     def test_c9_tuple(self):
         adj = self.cycle_adj([[0, 1, 2, 3, 4, 5, 6, 7, 8]])
         assert self.count_edges(adj, (0, 1, 3, 5, 7)) == 1  # v1 v2 v4 v6 v8
+        self.assert_filtered(adj)
 
     def test_c6_c3_tuple(self):
         adj = self.cycle_adj([[0, 1, 2, 3, 4, 5], [6, 7, 8]])
         # three independent C6 vertices plus two triangle vertices
         assert self.count_edges(adj, (0, 2, 4, 6, 7)) == 1
+        self.assert_filtered(adj)
 
     def test_c5_c4_tuple(self):
         adj = self.cycle_adj([[0, 1, 2, 3, 4], [5, 6, 7, 8]])
         assert self.count_edges(adj, (0, 2, 3, 5, 7)) == 1  # edge v3 v4 only
+        self.assert_filtered(adj)
 
     def test_three_triangles_pass_filter(self):
         adj = self.cycle_adj([[0, 1, 2], [3, 4, 5], [6, 7, 8]])
-        assert _subsets_with_few_edges(adj, 5, 2) is None
+        assert _subsets_with_few_edges(edge_mask(adj), 9, 5, 2) is None
 
 
 class TestRegularReductionMutations:
     def test_filter_keeping_nothing_fails_k8(self, monkeypatch):
-        monkeypatch.setattr(verify, "_subsets_with_few_edges", lambda adj, size, m: (0,))
+        monkeypatch.setattr(verify, "_subsets_with_few_edges", lambda edges, n, size, m: (0,))
         r = verify.verify_k8_reduction()
         # every dropped K4 + K4 is reported
         assert len(r.counterexamples) == 35
 
     def test_filter_keeping_everything_fails_k9(self, monkeypatch):
-        monkeypatch.setattr(verify, "_subsets_with_few_edges", lambda adj, size, m: None)
+        monkeypatch.setattr(verify, "_subsets_with_few_edges", lambda edges, n, size, m: None)
         r = verify.verify_k9_reduction()
         assert len(r.counterexamples) == 30016 - 280
 
@@ -213,6 +248,23 @@ class TestReportFormat:
         text = "LEMMA x " + " ".join(f"{k} {v}" for k, v in fields.items()) + "\n"
         with pytest.raises(ValueError, match=f"^line 1: negative {name} field"):
             parse_report(text)
+
+    @pytest.mark.parametrize("line, message", [
+        ("LEMMA x SPACE +5 CE 0 TIME 1", "no integer SPACE field"),
+        ("LEMMA x SPACE 5 CE 0 TIME 1_0", "no integer TIME field"),
+        ("LEMMA x SPACE 5 CE \u0660 TIME 1", "no integer CE field"),
+        ("LEMMA SPACE 1 CE 0 TIME 0", "no integer SPACE field"),
+        ("LEMMA x SPACE 1 CE 0 TIME 0 CE 3", "repeated field"),
+        ("LEMMA x CE 0 SPACE 1 TIME 0", "no integer SPACE field"),
+    ])
+    def test_header_is_read_by_position_with_ascii_digits(self, line, message):
+        with pytest.raises(ValueError, match=f"^line 1: {message}"):
+            parse_report(line + "\n")
+
+    def test_counterexample_header_needs_ascii_digits(self):
+        # '²' passes str.isdigit() but int() rejects it
+        with pytest.raises(ValueError, match="^line 2: expected an ECG header"):
+            parse_report("LEMMA x SPACE 1 CE 1 TIME 0\n3 \u00b2\n")
 
     def test_text_after_the_last_counterexample_names_the_line(self):
         with pytest.raises(ValueError, match="^line 2: text after the 0 declared"):
