@@ -134,10 +134,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read_graph(path: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ECGParseError(0, f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise ECGParseError(
+            0, f"cannot read {path}: not UTF-8 text (byte {byte:#04x} at offset {exc.start})"
+        ) from None
     return parse_ecg(text)
 
 

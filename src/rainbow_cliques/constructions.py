@@ -10,6 +10,7 @@ collisions are impossible and outputs are reproducible.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections import Counter
 from itertools import combinations
 
@@ -93,26 +94,30 @@ def counterexample_n7() -> ColoredGraph:
     return ColoredGraph(7, colors)
 
 
-def _recolor_fresh(colors: dict[tuple[int, int], int], target_ec: int, rng: random.Random) -> None:
-    """Recolor uniformly random edges of monochromatic classes of `colors`
-    in place, drawing from `rng`, each with a fresh distinct color, until
-    e+c >= target_ec.  Needs target_ec <= 2e."""
-    class_size = Counter(colors.values())
+def _recolor_fresh(colors: list[int], target_ec: int, rng: random.Random) -> list[int]:
+    """Recolor uniformly random edges of monochromatic classes of `colors`,
+    one color per edge, in place, drawing from `rng`, each with a fresh
+    distinct color, until e+c >= target_ec.  Needs target_ec <= 2e.
+    Returns the indices recolored, in order."""
+    recolored = []
+    class_size = Counter(colors)
     ec = len(colors) + len(class_size)
     next_color = max(class_size) + 1
-    # sorted once: classes only shrink and fresh classes stay singletons, so
-    # dropping each edge whose class falls to one keeps the list equal to a
-    # fresh sort of the edges in classes of two or more
-    candidates = sorted(e for e, c in colors.items() if class_size[c] >= 2)
+    # the indices, in order, of the edges in classes of two or more: classes
+    # only shrink and fresh classes stay singletons, so only the last edge of
+    # a class that falls to one has to leave
+    candidates = [i for i, c in enumerate(colors) if class_size[c] >= 2]
     while ec < target_ec:
-        edge = candidates.pop(rng.randrange(len(candidates)))
-        old = colors[edge]
+        i = candidates.pop(rng.randrange(len(candidates)))
+        recolored.append(i)
+        old = colors[i]
+        colors[i] = next_color
         class_size[old] -= 1
         if class_size[old] == 1:
-            candidates = [e for e in candidates if colors[e] != old]
-        colors[edge] = next_color
+            del candidates[bisect_left(candidates, colors.index(old))]
         next_color += 1
         ec += 1
+    return recolored
 
 
 def perturb_fresh_colors(g: ColoredGraph, target_ec: int, seed: int) -> ColoredGraph:
@@ -126,6 +131,10 @@ def perturb_fresh_colors(g: ColoredGraph, target_ec: int, seed: int) -> ColoredG
         raise ValueError(f"target e+c={target_ec} unreachable, maximum is {max_ec}")
     if g.e + g.c >= target_ec:
         return g
-    colors = dict(g.colors)
-    _recolor_fresh(colors, target_ec, random.Random(seed))
-    return ColoredGraph(g.n, colors)
+    # copying the dict skips the rehash of every edge that dict(g.colors) does
+    out = g.colors.copy()
+    edges = sorted(out)
+    colors = list(map(out.__getitem__, edges))
+    for i in _recolor_fresh(colors, target_ec, random.Random(seed)):
+        out[edges[i]] = colors[i]
+    return ColoredGraph(g.n, out)

@@ -12,7 +12,10 @@ count: for each edge uv, the vertices w that make triangle uvw not
 rainbow, and per-color neighbour masks for the colors on two or more edges.
 Finding stops at a limit (the first clique, or the falsifier's second) and
 checks each candidate's colors against the used ones: a hit comes early
-there, and the mask table would cost more than the search.
+there, and the mask table would cost more than the search.  That search,
+``_rainbow_cliques(n, adj, cm, k, limit)``, takes the adjacency masks and
+color matrix rather than a ColoredGraph, so the falsifier can run it on one
+matrix that it rewrites for each trial.
 """
 
 from __future__ import annotations
@@ -66,20 +69,20 @@ def _rainbow(cm, pairs) -> bool:
 
 
 def _rainbow_cliques(
-    g: ColoredGraph, k: int, limit: int
+    n: int, adj, cm, k: int, limit: int
 ) -> tuple[int, tuple[int, ...] | None]:
     """Count the k-cliques whose C(k,2) edges have pairwise distinct colors,
     in lexicographic order of their vertex lists, stopping once `limit` (at
-    least 1) are found.  Returns the count and, if the search stopped at
-    `limit`, the clique it stopped at (so the first one for limit=1)."""
+    least 1) are found.  The graph on 1..n is given by its adjacency masks
+    and color matrix, as `ColoredGraph.adj` and `.color_matrix` hold them.
+    Returns the count and, if the search stopped at `limit`, the clique it
+    stopped at (so the first one for limit=1)."""
     if k < 1:
         raise ValueError(f"clique size must be positive, got k={k}")
     if limit < 1:
         raise ValueError(f"limit must be positive, got limit={limit}")
-    if k > g.n:
+    if k > n:
         return 0, None
-    cm = g.color_matrix
-    adj = g.adj
 
     def rec(clique: list[int], cand: int, used: set[int], budget: int) -> int:
         # on reaching the budget, returns without undoing `clique`
@@ -113,14 +116,14 @@ def _rainbow_cliques(
         return total
 
     clique: list[int] = []
-    count = rec(clique, (1 << (g.n + 1)) - 2, set(), limit)
+    count = rec(clique, (1 << (n + 1)) - 2, set(), limit)
     return count, (tuple(clique) if clique else None)
 
 
 def find_rainbow_clique(g: ColoredGraph, k: int) -> Witness | None:
     """First k-clique (lexicographically smallest vertex list) whose C(k,2)
     edges have pairwise distinct colors, or None."""
-    _, verts = _rainbow_cliques(g, k, 1)
+    _, verts = _rainbow_cliques(g.n, g.adj, g.color_matrix, k, 1)
     if verts is None:
         return None
     return _witness(g, "rainbow-clique", verts, _cross([(v,) for v in verts]), (1,) * k)

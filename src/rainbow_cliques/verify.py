@@ -73,6 +73,8 @@ def parse_report(text: str) -> VerificationReport:
         return value
 
     space, ce_count, ms = number(3, "SPACE"), number(5, "CE"), number(7, "TIME")
+    if len(fields) % 2:
+        raise ValueError(f"line 1: field {fields[-1]!r} has no value in {lines[0]!r}")
     keys = fields[2::2]
     if len(set(keys)) != len(keys):
         raise ValueError(f"line 1: repeated field in {lines[0]!r}")
@@ -402,7 +404,14 @@ def falsify_two_cliques(
 ) -> VerificationReport:
     """Seeded randomized search for a coloring at or above the existence
     threshold with exactly one rainbow K_k; success is finding none.  A hit
-    would be a genuine counterexample and is emitted."""
+    would be a genuine counterexample and is emitted.
+
+    Each trial draws every edge's color uniformly from a palette of
+    target - C(n,2) colors, in one call, and recolors edges of monochromatic
+    classes fresh until e+c reaches the target.  The colors stay a flat list
+    in `combinations` edge order: the search reads them through one color
+    matrix, rewritten in full each trial, and a ColoredGraph is built only
+    for a hit."""
     if not (n > k >= 6 or (k == 5 and n >= 10)):
         raise ValueError(
             f"two-cliques theorem covers n > k >= 6 or k=5, n >= 10; got k={k}, n={n}"
@@ -410,19 +419,24 @@ def falsify_two_cliques(
     if trials < 1:
         raise ValueError(f"need at least one trial, got trials={trials}")
     t0 = time.perf_counter()
-    target = comb(n, 2) + turan_number(n, k - 2) + 2
     e = comb(n, 2)
+    target = e + turan_number(n, k - 2) + 2
     rng = random.Random(seed)
     all_edges = list(combinations(range(1, n + 1), 2))
-    palette = max(target - e, 1)
+    palette = range(1, target - e + 1)
+    full = (1 << (n + 1)) - 2
+    adj = [0] + [full ^ 1 << v for v in range(1, n + 1)]
+    # the host is K_n, so each trial writes every off-diagonal entry
+    cm = [[0] * (n + 1) for _ in range(n + 1)]
     ces: list[ColoredGraph] = []
     for _ in range(trials):
-        colors = {edge: rng.randrange(1, palette + 1) for edge in all_edges}
+        colors = rng.choices(palette, k=e)
         _recolor_fresh(colors, target, rng)
-        g = ColoredGraph(n, colors)
+        for (u, v), c in zip(all_edges, colors):
+            cm[u][v] = cm[v][u] = c
         # stop at a second rainbow K_k: only exactly one is a counterexample
-        if _rainbow_cliques(g, k, 2)[0] == 1:
-            ces.append(g)
+        if _rainbow_cliques(n, adj, cm, k, 2)[0] == 1:
+            ces.append(ColoredGraph(n, dict(zip(all_edges, colors))))
     return VerificationReport(
         f"two-cliques-k{k}-n{n}", trials, ces, time.perf_counter() - t0
     )

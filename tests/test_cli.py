@@ -105,6 +105,18 @@ def test_parse_error_exit_3(tmp_path, capsys):
     assert run(["analyze", str(tmp_path / "missing.ecg")]) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze"], ["find", "--pattern", "rainbow-clique", "--k", "3"], ["count", "--k", "3"],
+])
+def test_undecodable_file_exit_3(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.ecg"
+    bad.write_bytes(b"2 1\n1 2 \xff\n")
+    assert run(argv[:1] + [str(bad)] + argv[1:]) == 3
+    assert capsys.readouterr().err == (
+        f"parse error: line 0: cannot read {bad}: not UTF-8 text (byte 0xff at offset 8)\n"
+    )
+
+
 def test_usage_error_exit_2(capsys):
     assert run(["nonsense"]) == 2
     cases = [

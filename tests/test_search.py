@@ -145,13 +145,33 @@ class TestCountRainbowCliques:
                 ]
                 assert len(cliques) == count_rainbow_cliques_naive(g, k)
                 for limit in (1, 2, 5):
-                    count, stop = _rainbow_cliques(g, k, limit)
+                    count, stop = _rainbow_cliques(g.n, g.adj, g.color_matrix, k, limit)
                     assert count == min(len(cliques), limit)
                     assert stop == (cliques[limit - 1] if len(cliques) >= limit else None)
 
     def test_limit_must_be_positive(self):
+        g = rainbow_complete(4)
         with pytest.raises(ValueError, match="limit must be positive"):
-            _rainbow_cliques(rainbow_complete(4), 3, 0)
+            _rainbow_cliques(g.n, g.adj, g.color_matrix, 3, 0)
+
+    def test_stop_at_two_matches_the_count(self):
+        # the falsifier's test: no, one, or at least two rainbow K_k
+        rng = random.Random(41)
+        seen = set()
+        for _ in range(150):
+            n = rng.randint(1, 10)
+            p = rng.choice((0.6, 0.9, 1.0))
+            palette = rng.randint(1, max(1, n * (n - 1) // 2))
+            colors = {
+                e: rng.randint(1, palette)
+                for e in combinations(range(1, n + 1), 2) if rng.random() < p
+            }
+            g = ColoredGraph(n, colors)
+            for k in range(1, 8):
+                want = min(count_rainbow_cliques(g, k), 2)
+                assert _rainbow_cliques(g.n, g.adj, g.color_matrix, k, 2)[0] == want
+                seen.add(want)
+        assert seen == {0, 1, 2}
 
     def test_find_iff_count_positive(self):
         rng = random.Random(29)

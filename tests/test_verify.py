@@ -1,4 +1,5 @@
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -6,6 +7,7 @@ from oracles import labeled_regular_graphs_naive
 from rainbow_cliques import (
     ColoredGraph,
     ECGParseError,
+    count_rainbow_cliques,
     falsify_two_cliques,
     find_monochromatic_cycle,
     find_rainbow_turan,
@@ -205,6 +207,30 @@ class TestFalsifyTwoCliques:
         with pytest.raises(ValueError):
             falsify_two_cliques(5, 9, 10, seed=1)
 
+    def test_lowered_threshold_yields_checked_counterexamples(self, monkeypatch):
+        # three below the theorem's threshold one rainbow K_6 is possible,
+        # so a falsifier that reads the colorings correctly must find some
+        from rainbow_cliques.turan import turan_number
+        monkeypatch.setattr(verify, "turan_number", lambda n, r: turan_number(n, r) - 3)
+        report = falsify_two_cliques(6, 8, 2000, seed=1)
+        assert len(report.counterexamples) > 0
+        target = comb(8, 2) + turan_number(8, 4) - 3 + 2
+        for g in report.counterexamples:
+            assert g.e == comb(8, 2)
+            assert g.e + g.c >= target
+            assert count_rainbow_cliques(g, 6) == 1
+
+    def test_builds_no_graph_without_a_hit(self, monkeypatch):
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return ColoredGraph(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "ColoredGraph", counting)
+        assert falsify_two_cliques(6, 8, 200, seed=3).ok
+        assert built == []
+
 
 class TestReportFormat:
     def test_round_trip_with_counterexample(self):
@@ -256,6 +282,8 @@ class TestReportFormat:
         ("LEMMA SPACE 1 CE 0 TIME 0", "no integer SPACE field"),
         ("LEMMA x SPACE 1 CE 0 TIME 0 CE 3", "repeated field"),
         ("LEMMA x CE 0 SPACE 1 TIME 0", "no integer SPACE field"),
+        ("LEMMA x SPACE 1 CE 0 TIME 0 junk", "field 'junk' has no value"),
+        ("LEMMA x SPACE 1 CE 0 TIME 0 NOTE 4 junk", "field 'junk' has no value"),
     ])
     def test_header_is_read_by_position_with_ascii_digits(self, line, message):
         with pytest.raises(ValueError, match=f"^line 1: {message}"):
