@@ -3,13 +3,15 @@
 A coloring of m edges with r colors, considered up to color renaming, is a
 set partition of the edge list into r nonempty classes.  Partitions are
 emitted as restricted growth strings (RGS): position i holds the block index
-of element i, blocks numbered by first appearance.
+of element i, blocks numbered by first appearance.  Partitions of a vertex
+set into parts of given sizes are listed directly, as tuples of parts.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from functools import lru_cache
+from itertools import combinations
 from operator import itemgetter
 
 
@@ -164,3 +166,28 @@ def rainbow_pruned_partitions(
 
     rec(0, 0)
     return survivors, skipped
+
+
+def _balanced_partitions(n: int, sizes: tuple[int, ...]):
+    """All partitions of {1..n} into unordered parts with the given size
+    multiset, each emitted once; parts ordered by their minimum element."""
+    def rec(remaining: list[int], size_pool: list[int], acc: list[tuple[int, ...]]):
+        if not remaining:
+            yield list(acc)
+            return
+        anchor = remaining[0]
+        rest = remaining[1:]
+        seen_sizes = set()
+        for idx, s in enumerate(size_pool):
+            if s in seen_sizes:
+                continue
+            seen_sizes.add(s)
+            pool2 = size_pool[:idx] + size_pool[idx + 1:]
+            for others in combinations(rest, s - 1):
+                part = (anchor,) + others
+                left = [v for v in rest if v not in others]
+                acc.append(part)
+                yield from rec(left, pool2, acc)
+                acc.pop()
+
+    yield from rec(list(range(1, n + 1)), list(sizes), [])

@@ -24,6 +24,7 @@ from collections import Counter
 from itertools import combinations, islice
 
 from .graph import ColoredGraph, Witness
+from .partitions import _balanced_partitions
 from .turan import turan_partition
 
 
@@ -225,31 +226,6 @@ def find_rainbow_complete_bipartite(g: ColoredGraph, a: int, b: int) -> Witness 
             if _rainbow(cm, _cross((A, B))):
                 return _witness(g, "rainbow-bipartite", A + B, _cross((A, B)), (a, b))
     return None
-
-
-def _balanced_partitions(n: int, sizes: tuple[int, ...]):
-    """All partitions of {1..n} into unordered parts with the given size
-    multiset, each emitted once; parts ordered by their minimum element."""
-    def rec(remaining: list[int], size_pool: list[int], acc: list[tuple[int, ...]]):
-        if not remaining:
-            yield list(acc)
-            return
-        anchor = remaining[0]
-        rest = remaining[1:]
-        seen_sizes = set()
-        for idx, s in enumerate(size_pool):
-            if s in seen_sizes:
-                continue
-            seen_sizes.add(s)
-            pool2 = size_pool[:idx] + size_pool[idx + 1:]
-            for others in combinations(rest, s - 1):
-                part = (anchor,) + others
-                left = [v for v in rest if v not in others]
-                acc.append(part)
-                yield from rec(left, pool2, acc)
-                acc.pop()
-
-    yield from rec(list(range(1, n + 1)), list(sizes), [])
 
 
 def find_rainbow_turan(g: ColoredGraph, r: int) -> Witness | None:

@@ -16,11 +16,11 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
-from math import ceil, comb, factorial, isfinite, log
+from math import ceil, comb, isfinite, log
 
 from .constructions import _recolor_fresh, extremal, perturb_fresh_colors
 from .graph import ColoredGraph, ECGParseError, _field, format_ecg, parse_ecg, saturation
-from .partitions import completions, rainbow_pruned_partitions, stirling2
+from .partitions import _balanced_partitions, completions, rainbow_pruned_partitions, stirling2
 from .search import (
     _rainbow_cliques,
     count_rainbow_cliques,
@@ -107,6 +107,25 @@ def parse_report(text: str) -> VerificationReport:
     return VerificationReport(fields[1], space, ces, ms / 1000.0)
 
 
+def _colorings_without_rainbow(
+    n: int, edges: list[tuple[int, int]], s: int, lo: int, hi: int
+) -> tuple[list[ColoredGraph], int]:
+    """Every coloring of `edges` (pairs on 1..n) with lo..hi colors, up to
+    color renaming, in which no K_s on those edges is rainbow, as
+    ColoredGraphs with colors 1..c, and the exact number of colorings
+    skipped.  The cuts are the s-subsets of 1..n whose pairs all lie in
+    `edges`, as edge-index tuples in `combinations` order."""
+    index = {e: i for i, e in enumerate(edges)}
+    cuts = []
+    for sub in combinations(range(1, n + 1), s):
+        ids = tuple(map(index.get, combinations(sub, 2)))
+        if None not in ids:
+            cuts.append(ids)
+    survivors, skipped = rainbow_pruned_partitions(len(edges), lo, hi, cuts)
+    graphs = [ColoredGraph(n, {e: b + 1 for e, b in zip(edges, rgs)}) for rgs in survivors]
+    return graphs, skipped
+
+
 # -- Theorem: rainbow triangle above C(n,2)+n ------------------------------
 
 
@@ -115,12 +134,12 @@ def verify_triangle_threshold(n: int) -> VerificationReport:
     color classes; assert each coloring with e+c >= C(n,2)+n has a rainbow
     triangle.  Only colorings at or above the threshold are generated, and a
     subtree is skipped (with its size counted exactly) once a triangle is
-    rainbow, so the surviving colorings are exactly the counterexamples."""
+    rainbow, so the colorings that _colorings_without_rainbow returns are
+    exactly the counterexamples."""
     if not (3 <= n <= 5):
         raise ValueError(f"triangle verifier supports 3 <= n <= 5, got n={n}")
     t0 = time.perf_counter()
     all_edges = list(combinations(range(1, n + 1), 2))
-    triples = list(combinations(range(1, n + 1), 3))
     threshold = comb(n, 2) + n
     space = 0
     ces: list[ColoredGraph] = []
@@ -132,16 +151,9 @@ def verify_triangle_threshold(n: int) -> VerificationReport:
             space += completions(m, 0, 0, m)
             continue
         edges = [all_edges[i] for i in range(len(all_edges)) if subset_mask >> i & 1]
-        edge_index = {e: i for i, e in enumerate(edges)}
-        tri_edge_ids = [
-            tuple(edge_index[e] for e in ((a, b), (a, c), (b, c)))
-            for a, b, c in triples
-            if (a, b) in edge_index and (a, c) in edge_index and (b, c) in edge_index
-        ]
-        survivors, skipped = rainbow_pruned_partitions(m, lo, m, tri_edge_ids)
-        space += completions(m, 0, 0, lo - 1) + skipped + len(survivors)
-        for rgs in survivors:
-            ces.append(ColoredGraph(n, {edges[i]: rgs[i] + 1 for i in range(m)}))
+        graphs, skipped = _colorings_without_rainbow(n, edges, 3, lo, m)
+        space += completions(m, 0, 0, lo - 1) + skipped + len(graphs)
+        ces.extend(graphs)
     report = VerificationReport(
         f"triangle-n{n}", space, ces, time.perf_counter() - t0
     )
@@ -165,25 +177,17 @@ def verify_k6_dichotomy() -> VerificationReport:
     so a subtree is skipped (with its size counted exactly) once a completed
     4-subset is rainbow, or once every completion must make some 4-subset
     rainbow, which the enumerator decides exactly where at most one block
-    reuse is left.  Each surviving coloring must have saturation
+    reuse is left (both through _colorings_without_rainbow, as in the
+    triangle verifier).  Each surviving coloring must have saturation
     tallies (c_2,c_1,c_0) = (9,0,1) and contain a rainbow T_{6,2} or a
     monochromatic C_6."""
     t0 = time.perf_counter()
-    m, r = 15, 10
-    edges = _K6_EDGES
-    edge_index = {e: i for i, e in enumerate(edges)}
-    k4_cuts = [
-        tuple(edge_index[e] for e in combinations(sub, 2))
-        for sub in combinations(range(1, 7), 4)
-    ]
-    survivors, skipped = rainbow_pruned_partitions(m, r, r, k4_cuts)
+    m, r = len(_K6_EDGES), 10
+    survivors, skipped = _colorings_without_rainbow(6, _K6_EDGES, 4, r, r)
     space = skipped + len(survivors)
     ces: list[ColoredGraph] = []
-    for rgs in survivors:
-        colors = {edges[i]: rgs[i] + 1 for i in range(m)}
-        g = ColoredGraph(6, colors)
-        prof = saturation(g)
-        c0, c1, c2 = prof.tallies
+    for g in survivors:
+        c0, c1, c2 = saturation(g).tallies
         if (c2, c1, c0) != (9, 0, 1):
             ces.append(g)
             continue
@@ -276,61 +280,48 @@ def _subset_edge_masks(n: int, size: int) -> tuple[tuple[tuple[int, ...], int], 
     )
 
 
-def _subsets_with_few_edges(edges: int, n: int, size: int, min_edges: int):
+def _subsets_with_few_edges(edges: int, n: int, size: int):
     """First `size`-subset of the graph on range(n) with edge mask `edges`
-    that spans fewer than min_edges edges, or None."""
+    that spans fewer than 2 edges, or None."""
     for sub, mask in _subset_edge_masks(n, size):
-        if (edges & mask).bit_count() < min_edges:
+        if (edges & mask).bit_count() < 2:
             return sub
     return None
 
 
-def _pairs(edges: int, n: int) -> list[tuple[int, int]]:
-    """The vertex pairs of an edge mask on range(n), in combinations order."""
-    return [p for i, p in enumerate(combinations(range(n), 2)) if edges >> i & 1]
-
-
 def _mono_graph(edges: int, n: int) -> ColoredGraph:
     """Plain graph as a monochromatic ColoredGraph (for report embedding)."""
-    return ColoredGraph(n, {(u + 1, v + 1): 1 for u, v in _pairs(edges, n)})
+    pairs = combinations(range(1, n + 1), 2)
+    return ColoredGraph(n, {p: 1 for i, p in enumerate(pairs) if edges >> i & 1})
 
 
 def _regular_reduction(lemma_id: str, n: int, d: int, size: int) -> VerificationReport:
     """Enumerate all labeled d-regular graphs on n vertices as edge masks
     (see labeled_regular_graphs); keep those in which every `size`-subset
     spans >= 2 edges, by ANDing each subset's edge mask with the graph's;
-    assert the kept graphs are exactly the disjoint unions of K_{d+1}.  A
-    kept graph with an edge whose ends have different closed neighbourhoods
-    is a counterexample (equal ones along every edge make each component a
-    clique, and a d-regular clique is K_{d+1}), and all
-    n!/((d+1)!^q q!) clique unions, q = n/(d+1), must be kept: on a
-    shortfall a second pass reports each one the filter dropped.  Only kept
-    graphs and counterexamples are unpacked from their masks."""
+    assert the kept graphs are exactly the disjoint unions of K_{d+1}.  The
+    clique unions are the edge masks of the partitions of the vertices into
+    q = n/(d+1) parts of size d+1.  The counterexamples are each kept graph
+    that is not a clique union, in enumeration order, then each clique
+    union the filter dropped, in partition order.  Only kept graphs and
+    counterexamples are unpacked from their masks."""
     t0 = time.perf_counter()
-
-    def clique_union(edges: int) -> bool:
-        closed = [1 << v for v in range(n)]
-        for u, v in _pairs(edges, n):
-            closed[u] |= 1 << v
-            closed[v] |= 1 << u
-        return all(closed[u] == c for c in closed for u in range(n) if c >> u & 1)
-
-    space = kept = 0
+    bits = _pair_bits(n)
+    unions = (
+        sum(bits[u - 1][v - 1] for part in parts for u, v in combinations(part, 2))
+        for parts in _balanced_partitions(n, (d + 1,) * (n // (d + 1)))
+    )
+    kept = dict.fromkeys(unions, False)  # clique-union mask -> kept by the filter
+    space = 0
     ces: list[ColoredGraph] = []
     for edges in labeled_regular_graphs(n, d):
         space += 1
-        if _subsets_with_few_edges(edges, n, size, 2) is None:
-            if clique_union(edges):
-                kept += 1
+        if _subsets_with_few_edges(edges, n, size) is None:
+            if edges in kept:
+                kept[edges] = True
             else:
                 ces.append(_mono_graph(edges, n))
-    q = n // (d + 1)
-    if kept != factorial(n) // (factorial(d + 1) ** q * factorial(q)):
-        ces.extend(
-            _mono_graph(edges, n)
-            for edges in labeled_regular_graphs(n, d)
-            if clique_union(edges) and _subsets_with_few_edges(edges, n, size, 2) is not None
-        )
+    ces.extend(_mono_graph(edges, n) for edges, seen in kept.items() if not seen)
     return VerificationReport(lemma_id, space, ces, time.perf_counter() - t0)
 
 

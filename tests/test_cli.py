@@ -23,6 +23,13 @@ def test_construct_to_stdout(capsys):
     assert out.startswith("7 20\n")
 
 
+def test_construct_into_a_missing_directory_exit_3(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.ecg"
+    assert run(["construct", "extremal", "--n", "8", "--k", "4", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("io error: ")
+
+
 def test_find_present_and_absent(tmp_path, capsys):
     g = tmp_path / "g.ecg"
     run(["construct", "extremal", "--n", "8", "--k", "4", "--out", str(g)])
@@ -44,10 +51,16 @@ def test_count(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "48"
 
 
-def test_verify_triangle(capsys):
+def test_verify_triangle(tmp_path, capsys):
     assert run(["verify", "triangle-n3"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("LEMMA triangle-n3 SPACE 15 CE 0 TIME ")
+    # with --out the report goes to the file and its LEMMA line to stdout
+    report = tmp_path / "report.txt"
+    assert run(["verify", "triangle-n3", "--out", str(report)]) == 0
+    text = report.read_text()
+    assert text.startswith("LEMMA triangle-n3 SPACE 15 CE 0 TIME ")
+    assert capsys.readouterr().out == text.splitlines()[0] + "\n"
 
 
 def test_verify_tightness_flags(capsys):
@@ -96,6 +109,8 @@ def test_turan_table(capsys):
     assert run(["turan", "--max-n", "9", "--max-k", "3"]) == 0
     out = capsys.readouterr().out
     assert " 27" in out  # t_{9,3}
+    assert run(["turan", "--max-n", "0", "--max-k", "3"]) == 2
+    assert capsys.readouterr().err == "error: turan table bounds must be positive\n"
 
 
 def test_parse_error_exit_3(tmp_path, capsys):
@@ -114,6 +129,37 @@ def test_undecodable_file_exit_3(tmp_path, capsys, argv):
     assert run(argv[:1] + [str(bad)] + argv[1:]) == 3
     assert capsys.readouterr().err == (
         f"parse error: line 0: cannot read {bad}: not UTF-8 text (byte 0xff at offset 8)\n"
+    )
+
+
+@pytest.mark.parametrize("argv, first", [
+    (["analyze"], "e=1 c=1 e+c=2 complete=true"),
+    (["find", "--pattern", "rainbow-clique", "--k", "2"], "rainbow-clique: found vertices=[1, 2]"),
+    (["count", "--k", "2"], "1"),
+])
+def test_byte_order_mark_is_skipped(tmp_path, capsys, argv, first):
+    g = tmp_path / "bom.ecg"
+    g.write_bytes(b"\xef\xbb\xbf2 1\n1 2 1\n")
+    assert run(argv[:1] + [str(g)] + argv[1:]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == first
+
+
+@pytest.mark.parametrize("data", [
+    b"2 1\r\n1 2 1\r\n", b"2 1\r1 2 1\r", b"\xef\xbb\xbf2 1\r\n1 2 1\r\n",
+])
+def test_crlf_and_lone_cr_newlines_are_read(tmp_path, capsys, data):
+    g = tmp_path / "g.ecg"
+    g.write_bytes(data)
+    assert run(["analyze", str(g)]) == 0
+    assert capsys.readouterr().out.startswith("e=1 c=1 e+c=2 ")
+
+
+def test_undecodable_file_after_a_byte_order_mark_counts_its_bytes(tmp_path, capsys):
+    bad = tmp_path / "bad.ecg"
+    bad.write_bytes(b"\xef\xbb\xbf2 1\n1 2 \xff\n")
+    assert run(["analyze", str(bad)]) == 3
+    assert capsys.readouterr().err == (
+        f"parse error: line 0: cannot read {bad}: not UTF-8 text (byte 0xff at offset 11)\n"
     )
 
 
@@ -140,6 +186,14 @@ def test_supersat_zero_count_exit_2(capsys):
     assert run(["supersat", "--k", "4", "--ns", "4,5", "--eps", "0.1"]) == 2
     err = capsys.readouterr().err
     assert "no rainbow K_4 at n=4" in err and "math domain error" not in err
+
+
+@pytest.mark.parametrize("ns, message", [
+    ("a,b", "bad --ns list 'a,b'"), (",", "--ns must name at least one vertex count"),
+])
+def test_supersat_bad_ns_list_exit_2(ns, message, capsys):
+    assert run(["supersat", "--k", "3", "--ns", ns, "--eps", "0.1"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_supersat_single_n_exit_2(capsys):

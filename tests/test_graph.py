@@ -201,6 +201,19 @@ class TestSaturation:
             assert delete_vertex(g, v).c == g.c - prof.ds[v]
 
 
+class TestConstruction:
+    @pytest.mark.parametrize("n, colors, message", [
+        (0, {}, "vertex count must be positive, got 0"),
+        (-1, {}, "vertex count must be positive, got -1"),
+        (3, {(2, 1): 1}, r"bad edge \(2,1\) for n=3"),
+        (3, {(1, 4): 1}, r"bad edge \(1,4\) for n=3"),
+        (3, {(1, 2): 0}, r"nonpositive color 0 on edge \(1,2\)"),
+    ])
+    def test_rejects_bad_input(self, n, colors, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ColoredGraph(n, colors)
+
+
 class TestImmutability:
     def test_colors_reject_item_assignment(self):
         g = rainbow_k4()

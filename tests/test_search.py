@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -42,6 +43,31 @@ def rainbow_complete(n: int) -> ColoredGraph:
 
 def mono_complete(n: int) -> ColoredGraph:
     return ColoredGraph(n, {e: 1 for e in combinations(range(1, n + 1), 2)})
+
+
+RAINBOW6 = rainbow_complete(6)
+MONO6 = mono_complete(6)
+
+
+def _multipartite(kind, verts, parts):
+    """A `kind` witness in RAINBOW6 on `verts`, split into parts of the
+    given sizes, with the edges between those parts."""
+    it = iter(verts)
+    split = [[next(it) for _ in range(size)] for size in parts]
+    pairs = [(u, v) for i, a in enumerate(split) for b in split[i + 1:] for u in a for v in b]
+    return Witness(kind, verts, tuple((u, v, RAINBOW6.color_of(u, v)) for u, v in pairs), parts)
+
+
+def _walk(kind, verts):
+    """A `kind` witness in MONO6 with the edges of the cycle through `verts`
+    (one edge for two vertices)."""
+    pairs = {tuple(sorted(p)) for p in zip(verts, verts[1:] + verts[:1])}
+    return Witness(kind, verts, tuple((u, v, 1) for u, v in sorted(pairs)))
+
+
+V6 = tuple(range(1, 7))
+CLIQUE3 = _multipartite("rainbow-clique", (1, 2, 3), (1, 1, 1))
+CYCLE3 = _walk("mono-cycle", (1, 2, 3))
 
 
 def k6_minus_11_colors() -> ColoredGraph:
@@ -418,6 +444,34 @@ class TestWitnessValidation:
         w = find_rainbow_turan(g, 2)
         assert w.parts == (1, 1) and validate_witness(g, w)
         assert not validate_witness(g, Witness(w.kind, w.vertices, (), w.parts))
+
+    @pytest.mark.parametrize("g, good, change", [
+        pytest.param(RAINBOW6, CLIQUE3, {"parts": (1, 1)}, id="parts-sum-below-vertex-count"),
+        pytest.param(
+            RAINBOW6, _multipartite("rainbow-bipartite", (1, 2, 3), (2, 1)),
+            {"kind": "rainbow-clique"}, id="clique-with-a-part-of-2",
+        ),
+        pytest.param(RAINBOW6, CLIQUE3, {"kind": "rainbow-bipartite"}, id="bipartite-with-3-parts"),
+        pytest.param(
+            RAINBOW6, _multipartite("rainbow-turan", V6, (3, 3)), {"parts": (2, 2, 2)},
+            id="turan-re-split-as-2-2-2",
+        ),
+        pytest.param(
+            RAINBOW6, _multipartite("rainbow-bipartite", V6, (4, 2)), {"kind": "rainbow-turan"},
+            id="turan-unbalanced",
+        ),
+        pytest.param(
+            RAINBOW6, _multipartite("rainbow-bipartite", (1, 2, 3, 4), (2, 2)),
+            {"kind": "rainbow-turan"}, id="turan-not-covering-v",
+        ),
+        pytest.param(MONO6, CYCLE3, {"parts": (1, 1, 1)}, id="walk-with-parts"),
+        pytest.param(MONO6, _walk("mono-path", (1, 2)), {"kind": "mono-cycle"}, id="mono-cycle-on-2"),
+        pytest.param(MONO6, CYCLE3, {"kind": "mono-star"}, id="unknown-kind"),
+    ])
+    def test_malformed_witness_rejected(self, g, good, change):
+        # a valid witness with one field changed
+        assert validate_witness(g, good)
+        assert not validate_witness(g, replace(good, **change))
 
     def test_proper_c4_edges_off_the_cycle_rejected(self):
         g = rainbow_complete(5)

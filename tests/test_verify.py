@@ -1,5 +1,6 @@
 from itertools import combinations
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 
@@ -8,6 +9,7 @@ from rainbow_cliques import (
     ColoredGraph,
     ECGParseError,
     count_rainbow_cliques,
+    extremal,
     falsify_two_cliques,
     find_monochromatic_cycle,
     find_rainbow_turan,
@@ -15,10 +17,12 @@ from rainbow_cliques import (
     k6_variant,
     parse_report,
     saturation,
+    thresholds,
     verify_saturation_solutions,
     verify_tightness,
     verify_triangle_threshold,
     VerificationReport,
+    Witness,
 )
 from rainbow_cliques import verify
 from rainbow_cliques.verify import (
@@ -63,6 +67,20 @@ class TestTriangleThreshold:
         with pytest.raises(ValueError):
             verify_triangle_threshold(6)
 
+    @pytest.mark.parametrize("n, space, ces", [(3, 15, 1), (4, 877, 87)])
+    def test_enumerator_ignoring_cuts_reports_each_coloring_at_the_threshold(
+        self, n, space, ces, monkeypatch
+    ):
+        real = verify.rainbow_pruned_partitions
+        monkeypatch.setattr(
+            verify, "rainbow_pruned_partitions", lambda m, lo, hi, cuts: real(m, lo, hi)
+        )
+        r = verify_triangle_threshold(n)
+        assert r.space_size == space and len(r.counterexamples) == ces
+        for g in r.counterexamples:
+            assert g.e + g.c >= comb(n, 2) + n
+            assert count_rainbow_cliques(g, 3) >= 1
+
 
 def edge_mask(adj):
     """Adjacency bitmasks as the enumerator's edge mask: bit i is the i-th
@@ -77,7 +95,7 @@ class TestRegularGraphEnumeration:
         k4 = tuple(0b1111 & ~(1 << v) for v in range(4))
         assert graphs == [edge_mask(k4)]
         # sanity mode: every 4-subset of K4 spans 6 >= 2 edges
-        assert _subsets_with_few_edges(graphs[0], 4, 4, 2) is None
+        assert _subsets_with_few_edges(graphs[0], 4, 4) is None
 
     def test_two_regular_on_6(self):
         # 60 labeled C6 plus 10 labeled C3+C3
@@ -123,7 +141,7 @@ class TestK9Eliminations:
 
     def assert_filtered(self, adj):
         # the mask filter finds a 5-subset that the adjacency count agrees on
-        sub = _subsets_with_few_edges(edge_mask(adj), 9, 5, 2)
+        sub = _subsets_with_few_edges(edge_mask(adj), 9, 5)
         assert sub is not None and self.count_edges(adj, sub) < 2
 
     def test_c9_tuple(self):
@@ -144,18 +162,18 @@ class TestK9Eliminations:
 
     def test_three_triangles_pass_filter(self):
         adj = self.cycle_adj([[0, 1, 2], [3, 4, 5], [6, 7, 8]])
-        assert _subsets_with_few_edges(edge_mask(adj), 9, 5, 2) is None
+        assert _subsets_with_few_edges(edge_mask(adj), 9, 5) is None
 
 
 class TestRegularReductionMutations:
     def test_filter_keeping_nothing_fails_k8(self, monkeypatch):
-        monkeypatch.setattr(verify, "_subsets_with_few_edges", lambda edges, n, size, m: (0,))
+        monkeypatch.setattr(verify, "_subsets_with_few_edges", lambda edges, n, size: (0,))
         r = verify.verify_k8_reduction()
         # every dropped K4 + K4 is reported
         assert len(r.counterexamples) == 35
 
     def test_filter_keeping_everything_fails_k9(self, monkeypatch):
-        monkeypatch.setattr(verify, "_subsets_with_few_edges", lambda edges, n, size, m: None)
+        monkeypatch.setattr(verify, "_subsets_with_few_edges", lambda edges, n, size: None)
         r = verify.verify_k9_reduction()
         assert len(r.counterexamples) == 30016 - 280
 
@@ -167,6 +185,11 @@ class TestK6DichotomyMutation:
         r = verify.verify_k6_dichotomy()
         # all 70 survivors of the enumeration reach the classification
         assert format_report(r).splitlines()[0].startswith("LEMMA k6-dichotomy SPACE 12662650 CE 70 ")
+
+    def test_wrong_saturation_tallies_fail_k6(self, monkeypatch):
+        monkeypatch.setattr(verify, "saturation", lambda g: SimpleNamespace(tallies=(0, 0, 0)))
+        r = verify.verify_k6_dichotomy()
+        assert r.space_size == 12662650 and len(r.counterexamples) == 70
 
 
 class TestK6VariantClassification:
@@ -194,6 +217,19 @@ class TestTightness:
     def test_bad_k(self):
         with pytest.raises(ValueError):
             verify_tightness(8, 6)
+
+    def test_finder_finding_nothing_reports_each_recoloring(self, monkeypatch):
+        monkeypatch.setattr(verify, "find_rainbow_clique", lambda g, k: None)
+        r = verify_tightness(8, 4)
+        assert r.space_size == 13 and len(r.counterexamples) == 12
+        for g in r.counterexamples:
+            assert g.e + g.c == thresholds(8, 4)[0] + 1
+
+    def test_finder_always_finding_reports_the_construction(self, monkeypatch):
+        fake = Witness("rainbow-clique", (1, 2, 3, 4), (), (1, 1, 1, 1))
+        monkeypatch.setattr(verify, "find_rainbow_clique", lambda g, k: fake)
+        r = verify_tightness(8, 4)
+        assert r.space_size == 13 and r.counterexamples == [extremal(8, 4)]
 
 
 class TestFalsifyTwoCliques:
