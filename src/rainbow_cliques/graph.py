@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -185,11 +185,37 @@ def saturation(g: ColoredGraph) -> SaturationProfile:
 # -- ECG text format ------------------------------------------------------
 #
 # line 1: `n m`; then exactly m lines `u v c` with 1 <= u < v <= n and c >= 1.
-# A field is an optional `-` and ASCII digits.  Lines beginning `#` and blank
-# lines are ignored.  LF or CRLF accepted; the writer emits LF with edges
-# sorted lexicographically by (u, v).
+# A field is an optional `-` and ASCII digits.  Lines whose first field starts
+# with `#` and blank lines are ignored.  LF or CRLF accepted; the writer emits
+# LF with edges sorted lexicographically by (u, v).
+#
+# parse_ecg reads in two stages.  A document that fullmatches _WELL_FORMED
+# (ASCII whitespace, digit-only fields, three fields on every edge line) is
+# read in bulk: comment lines are dropped, the rest is split once, each field
+# is looked up in a table of decimal spellings, and ColoredGraph does the
+# range and positivity checks.  Anything else, or any doubt on the way (a
+# wrong field count, a duplicate edge, an invalid graph), goes to
+# _parse_lines, which walks the lines and names the one at fault.
 
 _FIELD = re.compile(r"-?[0-9]+")
+
+# the characters str.split() splits on inside a line, minus non-ASCII ones
+_WS = r"[ \t\r\x0b\x0c\x1c-\x1f]"
+_SKIP = rf"{_WS}*+(?:#[^\n]*+)?"  # a blank or comment line
+_WELL_FORMED = re.compile(
+    rf"(?:{_SKIP}\n)*+"
+    rf"{_WS}*+[0-9]++{_WS}++[0-9]++{_WS}*+"
+    rf"(?:\n(?:{_WS}*+[0-9]++{_WS}++[0-9]++{_WS}++[0-9]++{_WS}*+|{_SKIP}))*+"
+)
+_COMMENT = re.compile(rf"(?m)^{_WS}*+#[^\n]*+")
+
+
+@cache
+def _numerals() -> dict[str, int]:
+    """The decimal spellings of 0..4095, for the bulk read to look fields up
+    in; a field outside it sends the whole document through int().  The size
+    is fixed: taken from a header, it could exhaust memory."""
+    return {str(i): i for i in range(4096)}
 
 
 def _field(text: str) -> int:
@@ -199,20 +225,40 @@ def _field(text: str) -> int:
 
 
 def parse_ecg(text: str) -> ColoredGraph:
+    if _WELL_FORMED.fullmatch(text):
+        fields = (_COMMENT.sub("", text) if "#" in text else text).split()
+        try:
+            values = list(map(_numerals().__getitem__, fields))
+        except KeyError:
+            try:
+                values = list(map(int, fields))
+            except ValueError:  # more digits than int() reads
+                return _parse_lines(text)
+        n, m = values[:2]
+        if len(values) == 2 + 3 * m:
+            colors = dict(zip(zip(values[2::3], values[3::3]), values[4::3]))
+            if len(colors) == m:
+                try:
+                    return ColoredGraph(n, colors)
+                except ValueError:
+                    pass
+    return _parse_lines(text)
+
+
+def _parse_lines(text: str) -> ColoredGraph:
+    """parse_ecg one line at a time, raising ECGParseError at the first line
+    at fault."""
     n = m = None
     colors: dict[tuple[int, int], int] = {}
-    # int() also reads `1_0`, `+1` and non-ASCII digits, so only a document
-    # holding `_`, `+` or non-ASCII text pays for a check of every field
-    to_int = _field if not text.isascii() or "_" in text or "+" in text else int
     for line_no, raw in enumerate(text.split("\n"), start=1):
         parts = raw.split()
         if not parts or parts[0].startswith("#"):
             continue
-        # a line takes one split, one int map and one range test; which
+        # a line takes one split, one field map and one range test; which
         # message applies is worked out only once a test fails
         if n is None:
             try:
-                n, m = map(to_int, parts)
+                n, m = map(_field, parts)
             except ValueError:
                 line = raw.strip()
                 if len(parts) != 2:
@@ -222,7 +268,7 @@ def parse_ecg(text: str) -> ColoredGraph:
                 raise ECGParseError(line_no, f"invalid header values n={n} m={m}")
             continue
         try:
-            u, v, c = map(to_int, parts)
+            u, v, c = map(_field, parts)
         except ValueError:
             line = raw.strip()
             if len(parts) != 3:

@@ -107,6 +107,12 @@ def parse_report(text: str) -> VerificationReport:
     return VerificationReport(fields[1], space, ces, ms / 1000.0)
 
 
+@lru_cache(maxsize=None)
+def _subset_pairs(n: int, s: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The pairs inside each s-subset of 1..n, in combinations order."""
+    return tuple(tuple(combinations(sub, 2)) for sub in combinations(range(1, n + 1), s))
+
+
 def _colorings_without_rainbow(
     n: int, edges: list[tuple[int, int]], s: int, lo: int, hi: int
 ) -> tuple[list[ColoredGraph], int]:
@@ -117,8 +123,8 @@ def _colorings_without_rainbow(
     `edges`, as edge-index tuples in `combinations` order."""
     index = {e: i for i, e in enumerate(edges)}
     cuts = []
-    for sub in combinations(range(1, n + 1), s):
-        ids = tuple(map(index.get, combinations(sub, 2)))
+    for pairs in _subset_pairs(n, s):
+        ids = tuple(map(index.get, pairs))
         if None not in ids:
             cuts.append(ids)
     survivors, skipped = rainbow_pruned_partitions(len(edges), lo, hi, cuts)

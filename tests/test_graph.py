@@ -15,6 +15,7 @@ from rainbow_cliques import (
     parse_ecg,
     saturation,
 )
+from rainbow_cliques import graph
 from conftest import random_colored_graph
 
 
@@ -90,6 +91,17 @@ class TestParse:
         ("2 1\n1 ٢ 1\n", 2, "non-integer edge field in '1 ٢ 1'"),
         ("+2 1\n1 2 1\n", 1, "non-integer header field in '+2 1'"),
         ("# +_é\n3 1\n1 2 -1\n", 3, "nonpositive color -1"),
+        # 2-field edge lines where the document's field count is right: only
+        # the per-line check catches them
+        ("5 2\n1 2\n3 4 5 1\n", 2, "expected edge line 'u v c', got '1 2'"),
+        ("5 2\n1 2\n3 4\n5 1\n", 2, "expected edge line 'u v c', got '1 2'"),
+        ("3 1\n1 07 1\n", 2, "vertex out of range in edge (1,7), n=3"),
+        # colors at and past the edge of the bulk reader's numeral table
+        ("3 2\n1 2 4095\n1 2 4096\n", 3, "duplicate edge (1,2)"),
+        ("3 1\n2 1 4097\n", 2, "edge endpoints out of order: 2 > 1"),
+        ("3 1\n1 2 4097\n2 3 4096\n", 3, "more than the declared 1 edges"),
+        # one edge too many, but a repeat: the duplicate is the fault
+        ("3 1\n1 2 1\n1 2 2\n", 3, "duplicate edge (1,2)"),
     ])
     def test_error_message_and_line(self, text, line_no, message):
         with pytest.raises(ECGParseError) as info:
@@ -100,6 +112,66 @@ class TestParse:
     def test_comment_with_underscore_plus_or_non_ascii_parses(self):
         g = parse_ecg("# n_m +1 é٢\n3 2\n#  \n1 2 1\n2 3 07\n")
         assert g.colors == {(1, 2): 1, (2, 3): 7}
+
+    def test_numeral_table_is_not_sized_from_the_header(self):
+        parse_ecg("2 1\n1 2 1\n")
+        size = len(graph._numerals())
+        g = parse_ecg("99999999999 1\n1 99999999999 4097\n")
+        assert g.n == 99999999999 and g.colors == {(1, 99999999999): 4097}
+        assert len(graph._numerals()) == size
+
+    @pytest.mark.parametrize("text", [
+        "3 2\n1 2 1\n2 3 4\n",
+        "3 2\n1 2 1\n2 3 4",
+        "# a comment\r\n\r\n3 2\r\n1 2 1\r\n\r\n  # another é٢\r\n2 3 4\r\n",
+        "\t3\x0b2\x0c\n\x1c1 2 07\x1f\n\n2\t3 99999999999 \n",
+        "3 0\n",
+        # colors at and past the edge of the numeral table
+        "4 3\n1 2 4095\n1 3 4096\n2 4 0004097\n",
+    ])
+    def test_well_formed_documents_skip_the_line_walk(self, text, monkeypatch):
+        want = graph._parse_lines(text)
+
+        def walk(text):
+            raise AssertionError("line walk on a well-formed document")
+
+        monkeypatch.setattr(graph, "_parse_lines", walk)
+        assert parse_ecg(text) == want
+
+
+# what a random edit may insert: digits, ASCII whitespace that str.split()
+# splits on, newline, comment and sign characters, spellings int() reads but
+# the format does not (`_`, `٢`, an ideographic space), and numbers at and
+# past the numeral table's edge and int()'s digit limit
+_EDIT_ALPHABET = list("0123456789 \t\r\x0b\x0c\x1c\n#-+_٢　") + [
+    "4095", "4096", "4097", "99999999999", "0" * 5000,
+]
+
+
+def _parse_outcome(parse, text):
+    try:
+        g = parse(text)
+    except ECGParseError as exc:
+        return "error", str(exc), exc.line_no
+    return "graph", g.n, dict(g.colors)
+
+
+def test_bulk_read_agrees_with_line_walk():
+    """parse_ecg against the line walk on round-tripped documents with 1-3
+    random character edits: equal graphs, or the same error and line."""
+    rng = random.Random(14)
+    for _ in range(3000):
+        text = format_ecg(random_colored_graph(rng, rng.randint(2, 6)))
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(text) + 1)
+            op = rng.randrange(3)
+            if op == 0:
+                text = text[:i] + rng.choice(_EDIT_ALPHABET) + text[i:]
+            elif op == 1:
+                text = text[:i] + text[i + 1:]
+            else:
+                text = text[:i] + rng.choice(_EDIT_ALPHABET) + text[i + 1:]
+        assert _parse_outcome(parse_ecg, text) == _parse_outcome(graph._parse_lines, text), text
 
 
 class TestFormat:
