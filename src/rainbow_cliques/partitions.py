@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections.abc import Iterable
 from functools import lru_cache
 from itertools import combinations
-from operator import itemgetter
 
 
 @lru_cache(maxsize=None)
@@ -50,26 +49,31 @@ def rainbow_pruned_partitions(
     tuple of element indices in `cuts` is rainbow (its elements lie in
     pairwise distinct blocks).
 
-    A subtree is skipped as soon as every RGS below it makes some cut
-    rainbow.  A cut is rainbow once its last element is assigned and its
-    elements lie in distinct blocks.  Before that, call a cut open if its
-    assigned elements lie in distinct blocks: it ends rainbow unless one of
-    its unassigned positions reuses a block, i.e. joins a block opened at an
-    earlier position.  Reaching lo blocks needs lo - blocks of the remaining
-    positions to open new blocks, which leaves at most r reuses.  So a node
-    is skipped when r = 0 and some cut is open.  At r = 1 the one reuse p
-    breaks an open cut exactly when p is one of its unassigned positions and
-    joins a block its assigned elements hold, or the block that one of its
-    earlier unassigned positions opened.  So a node is skipped when r = 1
-    and the open cuts share no unassigned position, or share exactly one and
-    no block held by all of them (a cut with no assigned element holds
-    none).  Both rules are exact: a node with r <= 1 that is not skipped
-    has a surviving completion.  Cuts that repeat an index are never rainbow
-    and are dropped first.  A cut that is empty or has an index outside
-    0..m-1 raises ValueError.
+    Call a cut broken once two of its assigned elements share a block: it
+    can no longer end rainbow.  The broken cuts are kept as a bit mask,
+    passed down the recursion: assigning position p to a used block breaks
+    every cut that holds p and an element already in that block, and
+    opening a new block breaks none.  A cut is rainbow once its last
+    element is assigned and it is unbroken, and that subtree is skipped.  So
+    at every node that is visited each finished cut is broken, and the
+    unbroken cuts are exactly the open ones: those that end rainbow unless
+    one of their unassigned positions reuses a block, i.e. joins a block
+    opened at an earlier position.  Reaching lo blocks needs lo - blocks of
+    the remaining positions to open new blocks, which leaves at most r
+    reuses.  So a node is skipped when r = 0 and some cut is unbroken.  At
+    r = 1 the one reuse p breaks an open cut exactly when p is one of its
+    unassigned positions and joins a block its assigned elements hold, or
+    the block that one of its earlier unassigned positions opened.  So a
+    node is skipped when r = 1 and the open cuts share no unassigned
+    position, or share exactly one and no block held by all of them (a cut
+    with no assigned element holds none).  Both rules are exact: a node
+    with r <= 1 that is not skipped has a surviving completion.  Cuts that
+    repeat an index are never rainbow and are dropped first.  A cut that is
+    empty or has an index outside 0..m-1 raises ValueError.
 
-    Returns the surviving RGS and the exact number of RGS in the skipped
-    subtrees, so survivors + skipped is the sum of S(m, r) over r = lo..hi."""
+    Returns the surviving RGS, in lexicographic order, and the exact number
+    of RGS in the skipped subtrees, so survivors + skipped is the sum of
+    S(m, r) over r = lo..hi."""
     if m < 0:
         raise ValueError(f"need m >= 0, got m={m}")
     cuts = list(cuts)
@@ -79,92 +83,96 @@ def rainbow_pruned_partitions(
     if max(lo, 0) > min(hi, m):
         return [], 0
     # a cut that repeats an index is never rainbow
-    cuts = [ids for ids in cuts if len(set(ids)) == len(ids)]
-    # block b is stored as the bit 1 << b; index m holds 0, so that a getter
-    # always has two indices and returns a tuple.  Bits add without a carry
-    # exactly when they are distinct, and each carry loses a one, so a cut is
-    # rainbow exactly when the sum of its bits has `size` ones.
-    finishing_at: list[list[tuple[itemgetter, int]]] = [[] for _ in range(m)]
-    for ids in cuts:
-        finishing_at[max(ids)].append((itemgetter(m, *ids), len(ids)))
+    cuts = [sorted(ids) for ids in cuts if len(set(ids)) == len(ids)]
+    # cut c is the bit 1 << c.  pair[p][q] (q < p): the cuts that hold both
+    # p and q; finish[p]: the cuts whose last index is p
+    pair = [[0] * m for _ in range(m)]
+    finish = [0] * m
+    for c, ids in enumerate(cuts):
+        finish[ids[-1]] |= 1 << c
+        for q, p in combinations(ids, 2):
+            pair[p][q] |= 1 << c
+    masks = [sum(1 << i for i in ids) for ids in cuts]
+    every = (1 << len(cuts)) - 1
     skip_sizes = _skip_sizes(m, lo, hi)
-    bits = [0] * (m + 1)
+    rgs = [0] * m
+    # the positions in each block; a block not yet opened has none
+    members: list[list[int]] = [[] for _ in range(min(hi, m))]
     survivors: list[tuple[int, ...]] = []
     skipped = 0
-    # rows[pos]: the cuts still unfinished once pos positions are assigned,
-    # as (whether one has under two assigned elements, so is surely open;
-    # the AND of those cuts' unassigned masks, -1 for none; 0 if one of them
-    # has no assigned element, else -1; the assigned index of each of the
-    # others; (getter, size, unassigned mask) for each of the rest).  A row
-    # is built on first use: building every row up front made the triangle
-    # verifier's ~1,100 calls here take about 1.6x as long.
-    rows: list = [None] * m
+    # broken -> the AND of the unbroken cuts' index masks
+    shared: dict[int, int] = {}
 
-    def open_cuts(pos: int):
-        sure, need, held, singles, tested = False, -1, -1, set(), []
-        for ids in cuts:
-            if max(ids) < pos:
-                continue
-            done = [i for i in ids if i < pos]
-            mask = sum(1 << i for i in ids if i >= pos)
-            if len(done) < 2:
-                sure, need = True, need & mask
-                if done:
-                    singles.add(done[0])
-                else:
-                    held = 0
-            else:
-                tested.append((itemgetter(*done), len(done), mask))
-        rows[pos] = sure, need, held, tuple(singles), tested
-        return rows[pos]
-
-    def doomed(pos: int, reuses: int) -> bool:
+    def doomed(pos: int, reuses: int, broken: int) -> bool:
         """Whether every completion of this node makes some cut rainbow."""
-        sure, need, held, singles, tested = rows[pos] or open_cuts(pos)
+        unbroken = every & ~broken
+        if not unbroken:
+            return False
         if not reuses:
-            need = 0
-        if sure and not need:
             return True
-        for i in singles:
-            held &= bits[i]
-        for test, size, mask in tested:
-            h = sum(test(bits))
-            if h.bit_count() == size:
-                need &= mask
-                if not need:
-                    return True
-                held &= h
+        need = shared.get(broken)
+        if need is None:
+            need, rest = -1, unbroken
+            while rest:
+                low = rest & -rest
+                need &= masks[low.bit_length() - 1]
+                rest ^= low
+            shared[broken] = need
         # the one reuse p must lie in every open cut's unassigned positions
-        # and join a block that all of them hold or that an earlier such
-        # position opened
-        return not (held or need & (need - 1))
+        need >>= pos
+        if not need:
+            return True
+        if need & (need - 1):
+            # the later of two shared positions can join the block the
+            # earlier one opened
+            return False
+        # p is the only shared position: it must join a block every open
+        # cut holds
+        held = -1
+        while unbroken:
+            low = unbroken & -unbroken
+            h = 0
+            for i in cuts[low.bit_length() - 1]:
+                if i >= pos:
+                    break
+                h |= 1 << rgs[i]
+            held &= h
+            if not held:
+                return True
+            unbroken ^= low
+        return False
 
     # every node keeps blocks + (m - pos) >= lo, so lo stays reachable
-    def rec(pos: int, blocks: int) -> None:
+    def rec(pos: int, blocks: int, broken: int) -> None:
         nonlocal skipped
         if pos == m:
-            survivors.append(tuple(x.bit_length() - 1 for x in bits[:m]))
+            survivors.append(tuple(rgs))
             return
-        tests = finishing_at[pos]
+        done = finish[pos]
+        pairs = pair[pos]
         sizes = skip_sizes[pos]
         left = m - pos - 1
         # once the used blocks alone cannot reach lo, only a new block can
         start = blocks if blocks + left < lo else 0
         for b in range(start, min(blocks + 1, hi)):
             new_blocks = blocks if b < blocks else blocks + 1
-            bits[pos] = 1 << b
-            for test, size in tests:
-                if sum(test(bits)).bit_count() == size:
-                    skipped += sizes[new_blocks]
-                    break
-            else:
-                reuses = left - max(lo - new_blocks, 0)
-                if reuses <= 1 and left and doomed(pos + 1, reuses):
-                    skipped += sizes[new_blocks]
-                else:
-                    rec(pos + 1, new_blocks)
+            now = broken
+            for q in members[b]:
+                now |= pairs[q]
+            if done & ~now:
+                # a cut finished here unbroken, so rainbow
+                skipped += sizes[new_blocks]
+                continue
+            rgs[pos] = b
+            reuses = left - max(lo - new_blocks, 0)
+            if reuses <= 1 and left and doomed(pos + 1, reuses, now):
+                skipped += sizes[new_blocks]
+                continue
+            members[b].append(pos)
+            rec(pos + 1, new_blocks, now)
+            members[b].pop()
 
-    rec(0, 0)
+    rec(0, 0, 0)
     return survivors, skipped
 
 

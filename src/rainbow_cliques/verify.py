@@ -165,7 +165,8 @@ def verify_triangle_threshold(n: int) -> VerificationReport:
     )
     # Bell(m) summed over the edge subsets is Bell(C(n,2)+1)
     top = comb(n, 2) + 1
-    assert report.space_size == completions(top, 0, 0, top), "partition accounting mismatch"
+    if report.space_size != completions(top, 0, 0, top):
+        raise RuntimeError("partition accounting mismatch")
     return report
 
 
@@ -202,7 +203,8 @@ def verify_k6_dichotomy() -> VerificationReport:
     report = VerificationReport(
         "k6-dichotomy", space, ces, time.perf_counter() - t0
     )
-    assert report.space_size == stirling2(m, r), "partition accounting mismatch"
+    if report.space_size != stirling2(m, r):
+        raise RuntimeError("partition accounting mismatch")
     return report
 
 
@@ -337,8 +339,8 @@ def verify_k8_reduction() -> VerificationReport:
     Also check that the (c2,c1,c0) solution list for c=17,
     32 <= 2c2+c1 <= 34 matches the four admissible tuples."""
     expected = [(17, 0, 0), (16, 1, 0), (16, 0, 1), (15, 2, 0)]
-    assert verify_saturation_solutions(17, 32, 34) == expected, \
-        "saturation tally elimination list mismatch at c=17"
+    if verify_saturation_solutions(17, 32, 34) != expected:
+        raise RuntimeError("saturation tally elimination list mismatch at c=17")
     return _regular_reduction("k8-reduction", 8, 3, 4)
 
 

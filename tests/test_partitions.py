@@ -25,6 +25,11 @@ def random_cut(rng, m):
     return tuple(rng.sample(range(m), size))
 
 
+def rainbow(rgs, cuts):
+    """Whether some cut's elements lie in pairwise distinct blocks."""
+    return any(len({rgs[i] for i in ids}) == len(ids) for ids in cuts)
+
+
 def all_rgs(m):
     """Brute force: every restricted growth string of length m, each prefix
     extended by every block used so far and by one new block."""
@@ -127,13 +132,28 @@ class TestAllPartitions:
                 cuts = [random_cut(rng, m) for _ in range(rng.randint(0, 4) if m else 0)]
                 survivors, skipped = rainbow_pruned_partitions(m, lo, hi, cuts)
                 in_range = [g for g in every if lo <= len(set(g)) <= hi]
-                expect = {
-                    g for g in in_range
-                    if not any(len({g[i] for i in ids}) == len(ids) for ids in cuts)
-                }
-                assert len(survivors) == len(set(survivors))
-                assert set(survivors) == expect
+                # all_rgs lists in lexicographic order, as the enumerator does
+                assert survivors == [g for g in in_range if not rainbow(g, cuts)]
                 assert len(survivors) + skipped == len(in_range) == sum(
+                    stirling2(m, r) for r in range(lo, hi + 1)
+                )
+
+    @pytest.mark.parametrize("m", range(9, 13))
+    def test_matches_the_cut_free_list_filtered_past_m8(self, m):
+        # lo >= m - 3 leaves at most three reuses, so the r <= 1 rules fire
+        rng = random.Random(m)
+        for lo in range(m - 3, m + 1):
+            hi = rng.randint(lo, m)
+            every, skipped = rainbow_pruned_partitions(m, lo, hi)
+            assert skipped == 0
+            for _ in range(8):
+                cuts = [
+                    tuple(rng.sample(range(m), rng.randint(2, 4)))
+                    for _ in range(rng.randint(1, 12))
+                ]
+                survivors, skipped = rainbow_pruned_partitions(m, lo, hi, cuts)
+                assert survivors == [g for g in every if not rainbow(g, cuts)]
+                assert len(survivors) + skipped == len(every) == sum(
                     stirling2(m, r) for r in range(lo, hi + 1)
                 )
 
@@ -149,7 +169,7 @@ class TestOneReuseLookahead:
         return sorted(
             g for g in all_rgs(m)
             if lo <= len(set(g)) <= hi
-            and not any(len({g[i] for i in ids}) == len(ids) for ids in cuts)
+            and not rainbow(g, cuts)
         )
 
     def check(self, m, lo, hi, cuts, expect):

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from itertools import combinations
 from math import comb
 from types import SimpleNamespace
@@ -190,6 +193,64 @@ class TestK6DichotomyMutation:
         monkeypatch.setattr(verify, "saturation", lambda g: SimpleNamespace(tallies=(0, 0, 0)))
         r = verify.verify_k6_dichotomy()
         assert r.space_size == 12662650 and len(r.counterexamples) == 70
+
+
+def skipped_one_short(monkeypatch):
+    """Patch the verifiers' enumerator to under-count each skipped subtree
+    total by one."""
+    real = verify.rainbow_pruned_partitions
+
+    def short(m, lo, hi, cuts):
+        survivors, skipped = real(m, lo, hi, cuts)
+        return survivors, skipped - 1
+
+    monkeypatch.setattr(verify, "rainbow_pruned_partitions", short)
+
+
+class TestAccountingChecks:
+    """The accounting checks raise, so they also hold under python -O."""
+
+    def test_skipped_one_short_fails_the_triangle_verifier(self, monkeypatch):
+        skipped_one_short(monkeypatch)
+        with pytest.raises(RuntimeError, match="^partition accounting mismatch$"):
+            verify_triangle_threshold(3)
+
+    def test_skipped_one_short_fails_k6(self, monkeypatch):
+        skipped_one_short(monkeypatch)
+        with pytest.raises(RuntimeError, match="^partition accounting mismatch$"):
+            verify.verify_k6_dichotomy()
+
+    def test_wrong_saturation_list_fails_k8(self, monkeypatch):
+        monkeypatch.setattr(verify, "verify_saturation_solutions", lambda c, lo, hi: [])
+        with pytest.raises(RuntimeError, match="^saturation tally elimination list mismatch at c=17$"):
+            verify.verify_k8_reduction()
+
+    def test_skipped_one_short_fails_under_python_O(self):
+        code = (
+            "from rainbow_cliques import verify\n"
+            "real = verify.rainbow_pruned_partitions\n"
+            "def short(m, lo, hi, cuts):\n"
+            "    survivors, skipped = real(m, lo, hi, cuts)\n"
+            "    return survivors, skipped - 1\n"
+            "verify.rainbow_pruned_partitions = short\n"
+            "verify.verify_triangle_threshold(3)\n"
+        )
+        src = os.path.dirname(os.path.dirname(verify.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr.rstrip().endswith("RuntimeError: partition accounting mismatch")
+
+
+class TestK6Survivors:
+    def test_ten_rainbow_turan_pairs_and_sixty_monochromatic_c6(self):
+        # the 70 colorings with no rainbow K4 split 10 + 60, none in both
+        graphs, _ = verify._colorings_without_rainbow(6, verify._K6_EDGES, 4, 10, 10)
+        turan = [find_rainbow_turan(g, 2) is not None for g in graphs]
+        cycle = [find_monochromatic_cycle(g, 6) is not None for g in graphs]
+        assert len(graphs) == 70
+        assert sum(turan) == 10 and sum(cycle) == 60
+        assert not any(t and c for t, c in zip(turan, cycle))
 
 
 class TestK6VariantClassification:
