@@ -5,17 +5,18 @@ All finders are deterministic: when several witnesses exist, the one with the
 lexicographically smallest vertex list (under the canonical orientation of the
 pattern) is returned.  Clique search uses ordered backtracking over vertices
 with adjacency bitmasks, in two forms.  Counting keeps only the candidates
-that extend the current clique to a rainbow clique, so the clique on k-1
-vertices adds one popcount and no k-clique is visited.  The candidates are
-filtered by one mask per added vertex, ORed from a table built once per
-count: for each edge uv, the vertices w that make triangle uvw not
-rainbow, and per-color neighbour masks for the colors on two or more edges.
-Finding stops at a limit (the first clique, or the falsifier's second) and
-checks each candidate's colors against the used ones: a hit comes early
-there, and the mask table would cost more than the search.  That search,
-``_rainbow_cliques(n, adj, cm, k, limit)``, takes the adjacency masks and
-color matrix rather than a ColoredGraph, so the falsifier can run it on one
-matrix that it rewrites for each trial.
+that extend the current clique to a rainbow clique, filtered by masks from a
+table built once per count: for each edge uv, the vertices w that make
+triangle uvw rainbow, and per-color neighbour masks for the colors on two or
+more edges.  The clique on k-2 vertices then counts the pairs of candidates
+that finish it with a few big-int operations on one vertex mask per block,
+so neither (k-1)- nor k-cliques are visited one by one, and k = 3 is a sum
+of popcounts over the edges.  Finding stops at a limit (the first clique, or
+the falsifier's second) and checks each candidate's colors against the used
+ones: a hit comes early there, and the tables would cost more than the
+search.  That search, ``_rainbow_cliques(n, adj, cm, k, limit)``, takes the
+adjacency masks and color matrix rather than a ColoredGraph, so the
+falsifier can run it on one matrix that it rewrites for each trial.
 """
 
 from __future__ import annotations
@@ -133,63 +134,130 @@ def find_rainbow_clique(g: ColoredGraph, k: int) -> Witness | None:
 def count_rainbow_cliques(g: ColoredGraph, k: int) -> int:
     """Exact number of k-vertex subsets inducing a rainbow clique.
 
-    The backtracking keeps `cand` equal to the vertices above the clique's
-    last vertex that extend the clique to a rainbow clique, so the clique on
-    k-1 vertices adds the popcount of `cand` and no leaf is visited.
+    The backtracking adds vertices in decreasing order and keeps `cand`
+    equal to the vertices below the clique's last vertex that extend the
+    clique to a rainbow clique.  The clique Q on k-2 vertices then counts
+    the pairs of `cand` that finish it in a few big-int operations, so no
+    (k-1)-clique is visited one by one.
 
     N_c(x) is x's neighbours over an edge of color c, kept only for the
     colors on two or more edges, as a color on one edge cannot repeat.
-    conflict(u, v), stored once per edge, is the w with c(w,u) = c(u,v),
-    c(w,v) = c(u,v) or c(w,u) = c(w,v).  Adding v to the clique Q, whose
-    edges use the colors U, keeps the w in cand & adj[v] above v outside
-    the union of conflict(u, v) over u in Q, of N_c(v) over c in U, and of
-    N_{c(v,u')}(u) over u != u' in Q (u = u' adds nothing to conflict)."""
+    good(u, v), built once per count for each edge, is the w that make uvw
+    a rainbow triangle.  Adding v to the clique Q, whose edges use the
+    colors U, keeps the w in cand below v that lie in good(u, v) for every
+    u in Q and outside N_c(v) for c in U and N_{c(v,u')}(u) for u != u' in
+    Q.  So k = 3 sums the popcounts of good(u, v) below u < v over the
+    edges.
+
+    The pair count packs one vertex mask per block of a big int: block w,
+    W = 8*ceil((n+2)/8) bits wide, holds a mask that belongs to vertex w.
+    square(C) = ((C*R) & D)*C, with R = sum of 2^(j(W-1)) and D = sum of
+    2^(wW), holds C in block w for each w in C (and 0 elsewhere); nothing
+    carries, as C < 2^(W-1).  G(q) holds good(q, w) in block w < q and A(c)
+    holds N_c(w).  The pairs {w, x} of C that make Q + w + x rainbow are
+    the bits of square(C) & AND G(q) over q in Q, each counted from both
+    ends, outside A(c) for c in U (c(w,x) in U) and outside square(M) for
+    each color c on edges from two vertices q, q' of Q, where M is the
+    candidates that meet c at q or q' (c(w,q) = c(x,q'); the pairs that
+    meet c at one q are out of good already).  As the candidates lie below
+    Q, these big ints stop at Q's lowest block."""
     if k < 1:
         raise ValueError(f"clique size must be positive, got k={k}")
-    if k > g.n:
+    n = g.n
+    if k > n:
         return 0
     if k <= 2:
-        return g.n if k == 1 else g.e  # every vertex and every edge is rainbow
-    cm = g.color_matrix
+        return n if k == 1 else g.e  # every vertex and every edge is rainbow
     adj = g.adj
     multi = {c for c, size in Counter(g.colors.values()).items() if size >= 2}
     # at[x][c] is N_c(x)
-    at: list[dict[int, int]] = [{} for _ in range(g.n + 1)]
+    at: list[dict[int, int]] = [{} for _ in range(n + 1)]
     for (u, v), c in g.colors.items():
         if c in multi:
             at[u][c] = at[u].get(c, 0) | 1 << v
             at[v][c] = at[v].get(c, 0) | 1 << u
-    # conflict[v][u] is conflict(u, v) for the edge uv with u < v
-    conflict: list[dict[int, int]] = [{} for _ in range(g.n + 1)]
+    # good[v][u] is good(u, v) and shared[v][u] the colors met at both u and
+    # v, for the edge uv with u < v
+    good = [[0] * v for v in range(n + 1)]
+    shared: list[list[tuple[int, ...]]] = [[()] * v for v in range(n + 1)]
     for (u, v), c in g.colors.items():
         au, av = at[u], at[v]
         drop = au.get(c, 0) | av.get(c, 0)
-        for c2 in au.keys() & av.keys():
+        both = au.keys() & av.keys()
+        for c2 in both:
             drop |= au[c2] & av[c2]
-        conflict[v][u] = drop
+        good[v][u] = adj[u] & adj[v] & ~drop
+        if both and k > 3:
+            shared[v][u] = tuple(both)
+    if k == 3:
+        return sum((good[v][u] & (1 << u) - 1).bit_count() for u, v in g.colors)
+
+    cm = g.color_matrix
+    classes: dict[int, list[tuple[int, int]]] = {c: [] for c in multi}
+    for e, c in g.colors.items():
+        if c in multi:
+            classes[c].append(e)
+    nbytes = (n + 9) // 8
+    width = 8 * nbytes
+    # R[t] is R cut to its first t terms, all that a C below 2^t needs
+    R = [0]
+    for t in range(n + 1):
+        R.append(R[-1] | 1 << t * (width - 1))
+    D = sum(1 << w * width for w in range(n + 1))
+    # G[u]: good(w, u) in block w < u
+    G = [
+        int.from_bytes(b"".join(m.to_bytes(nbytes, "little") for m in row), "little")
+        for row in good
+    ]
+    A: dict[int, int] = {}
+
+    def square(m: int) -> int:
+        return ((m * R[m.bit_length()]) & D) * m
+
+    def pairs(clique: list[int], used: list[int], cand: int, live: int) -> int:
+        """The pairs of `cand` that finish `clique` (colors `used`) to a
+        rainbow clique; `live` is the AND of G over the clique."""
+        live &= square(cand)
+        for c in used:
+            a = A.get(c)
+            if a is None:
+                row = bytearray(nbytes * (n + 1))
+                for u, v in classes[c]:
+                    row[u * nbytes + (v >> 3)] |= 1 << (v & 7)
+                    row[v * nbytes + (u >> 3)] |= 1 << (u & 7)
+                a = A[c] = int.from_bytes(row, "little")
+            live ^= live & a
+        for j, q2 in enumerate(clique):
+            a2 = at[q2]
+            for q in clique[:j]:
+                for c in shared[q][q2]:
+                    m = at[q][c] & cand
+                    if m:
+                        m2 = a2[c] & cand
+                        if m2:
+                            live ^= live & square(m | m2)
+        return live.bit_count() >> 1
 
     # `used` keeps the colors of U in `multi`: N_c is empty for the others
-    def rec(clique: list[int], used: list[int], cand: int) -> int:
+    def rec(clique: list[int], used: list[int], cand: int, both: int) -> int:
         total = 0
-        last = len(clique) == k - 2
-        # each round takes the lowest vertex v out of cand, which leaves the
-        # candidates above v
+        last = len(clique) == k - 3
+        # each round takes the highest vertex v out of cand, which leaves the
+        # candidates below v
         while cand:
-            b = cand & -cand
-            cand ^= b
-            v = b.bit_length() - 1
+            v = cand.bit_length() - 1
+            cand ^= 1 << v
             ext = cand & adj[v]
             if not ext:
                 continue
-            cv = conflict[v]
             av = at[v]
             row = cm[v]
             new = []
             drop = 0
             for u in clique:
-                drop |= cv[u]
+                ext &= good[u][v]
                 c = row[u]
-                if c in multi:
+                if c in av:
                     new.append(c)
             for c in used:
                 drop |= av.get(c, 0)
@@ -198,15 +266,17 @@ def count_rainbow_cliques(g: ColoredGraph, k: int) -> int:
                     for u in clique:
                         drop |= at[u].get(c, 0)
             ext &= ~drop
+            if not ext & (ext - 1):
+                continue  # no pair left to finish a clique
+            clique.append(v)
             if last:
-                total += ext.bit_count()
-            elif ext:
-                clique.append(v)
-                total += rec(clique, used + new, ext)
-                clique.pop()
+                total += pairs(clique, used + new, ext, both & G[v])
+            else:
+                total += rec(clique, used + new, ext, both & G[v])
+            clique.pop()
         return total
 
-    return sum(rec([u], [], adj[u] & ~((2 << u) - 1)) for u in range(1, g.n + 1))
+    return sum(rec([u], [], adj[u] & (1 << u) - 1, G[u]) for u in range(1, n + 1))
 
 
 def find_rainbow_complete_bipartite(g: ColoredGraph, a: int, b: int) -> Witness | None:

@@ -441,10 +441,11 @@ def falsify_two_cliques(
     )
 
 
-# Largest n per k, in steps of 10 up to 100, whose count takes under 10 s at
-# eps 0.1, seed 1 (one core of a 2-core VM): counting rainbow K_k grows
-# about as n^k.  k = 6 takes 6.5-7.6 s at n = 60 and 16.5-17.0 s at 70;
-# k = 5 takes 4.6 s and k = 4 0.2 s at n = 100.
+# Largest n per k, in steps of 10 up to 100, whose count took under 10 s at
+# eps 0.1, seed 1 (one core of a 2-core VM) when the counter visited every
+# rainbow (k-1)-clique; counting rainbow K_k grows about as n^k.  With the
+# pair count the same host takes 1.6-1.9 s for k = 6 at n = 60, 3.9-4.3 s at
+# 70 and 6.5 s at 80; k = 5 takes 0.65-0.78 s and k = 4 0.04 s at n = 100.
 _SUPERSAT_MAX_N = {3: 100, 4: 100, 5: 100, 6: 60}
 
 

@@ -1,6 +1,7 @@
 """Brute-force reference oracles for the tests, independent of the search
 paths they check."""
 
+from collections import Counter
 from itertools import combinations, permutations, product
 
 from rainbow_cliques import ColoredGraph, stirling2
@@ -26,6 +27,39 @@ def count_rainbow_cliques_naive(g: ColoredGraph, k: int) -> int:
         if ok:
             count += 1
     return count
+
+
+def count_rainbow_cliques_one_big_class(g: ColoredGraph, k: int) -> int:
+    """Rainbow K_k count for a graph in which every color class but at most
+    one, H, is a single edge, as in the supersaturation experiment (the
+    extremal pattern plus fresh colors).  There a k-clique is rainbow
+    exactly when it spans at most one H-edge, so vertex sets grow in
+    increasing order along common neighbours and stop at a second H-edge."""
+    if k < 1:
+        raise ValueError(f"clique size must be positive, got k={k}")
+    big = [c for c, size in Counter(g.colors.values()).items() if size >= 2]
+    if len(big) > 1:
+        raise ValueError(f"needs at most one class of two or more edges, got {len(big)}")
+    h = [0] * (g.n + 1)  # H-neighbour masks
+    for (u, v), c in g.colors.items():
+        if c in big:
+            h[u] |= 1 << v
+            h[v] |= 1 << u
+    adj = g.adj
+
+    def grow(size: int, members: int, common: int, hedges: int) -> int:
+        if size == k:
+            return 1
+        total = 0
+        for v in range(1, g.n + 1):
+            if common >> v & 1:
+                more = hedges + (h[v] & members).bit_count()
+                if more <= 1:
+                    above = common & adj[v] & ~((2 << v) - 1)
+                    total += grow(size + 1, members | 1 << v, above, more)
+        return total
+
+    return grow(0, 0, (1 << (g.n + 1)) - 2, 0)
 
 
 # The finder oracles below try every candidate vertex tuple.  `combinations`

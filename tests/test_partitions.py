@@ -1,5 +1,8 @@
 import random
 import re
+import sys
+from itertools import combinations
+from types import CodeType
 
 import pytest
 
@@ -192,3 +195,52 @@ class TestOneReuseLookahead:
         cuts = [(0, 1, 4), (2, 3, 4)]
         self.check(5, 4, 4, cuts, [])
         assert (0, 1, 1, 2, 1) in rainbow_pruned_partitions(5, 3, 4, cuts)[0]
+
+
+class TestPruningNodeCount:
+    """The survivors and `skipped` stay exact even when a pruning rule is
+    dropped (the finishing test still catches every rainbow cut), so the
+    amount of pruning is pinned by the nodes the recursion visits."""
+
+    @staticmethod
+    def nodes(m, lo, hi, cuts):
+        rec = next(
+            c for c in rainbow_pruned_partitions.__code__.co_consts
+            if isinstance(c, CodeType) and c.co_name == "rec"
+        )
+        calls = 0
+
+        def tracer(frame, event, arg):
+            nonlocal calls
+            if frame.f_code is rec:
+                calls += 1
+
+        old = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            result = rainbow_pruned_partitions(m, lo, hi, cuts)
+        finally:
+            sys.settrace(old)
+        return calls, result
+
+    def test_k6_dichotomy_visits_10013_nodes(self):
+        # the K6 verifier's call: the 15 edges of K6 (ordered by larger,
+        # then smaller end) into exactly 10 blocks, one cut per 4-subset of
+        # vertices (its 6 edge indices)
+        edges = sorted(combinations(range(1, 7), 2), key=lambda e: (e[1], e[0]))
+        index = {e: i for i, e in enumerate(edges)}
+        cuts = [
+            tuple(index[e] for e in combinations(sub, 2))
+            for sub in combinations(range(1, 7), 4)
+        ]
+        calls, (survivors, skipped) = self.nodes(15, 10, 10, cuts)
+        assert (len(survivors), skipped) == (70, 12662580)
+        assert calls == 10013
+
+    def test_one_reuse_rule_skips_the_only_child_of_the_root(self):
+        # lo = m - 1 leaves one reuse below the root's child 0; the open cuts
+        # share only position 4, and (2, 3, 4) holds no block yet, so the
+        # child is skipped before any cut finishes
+        calls, (survivors, skipped) = self.nodes(5, 4, 4, [(0, 1, 4), (2, 3, 4)])
+        assert (survivors, skipped) == ([], stirling2(5, 4))
+        assert calls == 1

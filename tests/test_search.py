@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 from itertools import combinations
+from math import ceil, comb, prod
 
 import pytest
 
@@ -19,6 +20,8 @@ from rainbow_cliques import (
     k6_variant,
     lexicographic,
     perturb_fresh_colors,
+    supersaturation_experiment,
+    turan_partition,
     validate_witness,
     Witness,
 )
@@ -26,6 +29,7 @@ from rainbow_cliques.search import _rainbow_cliques
 from conftest import random_colored_graph, random_complete_colored_graph
 from oracles import (
     count_rainbow_cliques_naive,
+    count_rainbow_cliques_one_big_class,
     mono_cycle_naive,
     mono_path_naive,
     proper_c4_naive,
@@ -153,6 +157,61 @@ class TestCountRainbowCliques:
         for g in graphs:
             for k in range(1, 8):
                 assert count_rainbow_cliques(g, k) == count_rainbow_cliques_naive(g, k)
+
+    @pytest.mark.parametrize("n", [6, 7, 14, 15, 22, 23])
+    def test_matches_naive_oracle_at_the_block_widths(self, n):
+        # the pair count packs one vertex mask per block of 8*ceil((n+2)/8)
+        # bits: 6 | 7, 14 | 15 and 22 | 23 sit on either side of the steps
+        # from 8 to 16, 16 to 24 and 24 to 32 bits
+        rng = random.Random(n)
+        pairs = list(combinations(range(1, n + 1), 2))
+        for p in (1.0, 0.8):
+            # 1-6 colors; n colors, whose classes of about n/2 edges repeat
+            # colors across the clique; and a color-rich palette where most
+            # classes are single edges and the rest are small
+            for palette in (rng.randint(1, 5), 6, n, len(pairs)):
+                g = ColoredGraph(n, {
+                    e: rng.randint(1, palette) for e in pairs if rng.random() < p
+                })
+                for k in (3, 4, 5):
+                    assert count_rainbow_cliques(g, k) == count_rainbow_cliques_naive(g, k)
+
+    @pytest.mark.parametrize("k, ns", [(3, (20, 40)), (4, (20, 40)), (5, (16, 30)), (6, (12, 20))])
+    def test_supersaturation_counts_match_the_one_big_class_oracle(self, k, ns):
+        rows, _ = supersaturation_experiment(k, list(ns), 0.1, seed=1)
+        for n, ec, count in rows:
+            # the experiment's graph: the pattern plus fresh colors
+            target = ceil((1 + (k - 3) / (k - 2) + 0.2) * comb(n, 2))
+            g = perturb_fresh_colors(extremal(n, k), target, 1)
+            assert g.e + g.c == ec
+            assert count_rainbow_cliques_one_big_class(g, k) == count == count_rainbow_cliques(g, k)
+            if n <= 16:
+                assert count_rainbow_cliques_naive(g, k) == count
+
+    def test_one_edge_split_of_the_pattern_closed_form(self):
+        # one intra-part edge of extremal(n, k), in a part p, recolored
+        # fresh: a rainbow K_k holds that edge, two vertices of one other
+        # part j and one vertex of each further part, so the count is the sum
+        # over j != p of C(s_j, 2) * e_{k-4}(the sizes other than s_p, s_j)
+        def e(r, xs):
+            return sum(prod(sub) for sub in combinations(xs, r))
+
+        for k in range(5, 9):
+            for n in range(k + 1, k + 9):
+                g = extremal(n, k)
+                fresh = max(g.colors.values()) + 1
+                sizes = turan_partition(n, k - 2)
+                first = 1  # the parts hold consecutive vertices
+                for p, sp in enumerate(sizes):
+                    if sp >= 2:
+                        split = ColoredGraph(n, {**g.colors, (first, first + 1): fresh})
+                        others = sizes[:p] + sizes[p + 1:]
+                        want = sum(
+                            comb(sj, 2) * e(k - 4, others[:j] + others[j + 1:])
+                            for j, sj in enumerate(others)
+                        )
+                        assert count_rainbow_cliques(split, k) == want
+                    first += sp
 
     def test_triangle_with_two_edges_sharing_a_color(self):
         g = ColoredGraph(3, {(1, 2): 1, (1, 3): 2, (2, 3): 2})
