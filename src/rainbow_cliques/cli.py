@@ -74,10 +74,16 @@ _LEMMAS = {
 }
 
 
-def _require(command: str, choice: str, needed: tuple[str, ...], args) -> None:
+def _require(command: str, table: dict, choice: str, args):
+    """table[choice]'s call, once its flags are set and no other entry's is."""
+    needed, call = table[choice]
     if any(getattr(args, name) is None for name in needed):
         flags = " and ".join(f"--{name}" for name in needed)
         raise UsageError(f"{command} {choice} requires {flags}")
+    for name in (name for other, _ in table.values() for name in other):
+        if name not in needed and getattr(args, name) is not None:
+            raise UsageError(f"{command} {choice} does not take --{name}")
+    return call
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -160,8 +166,7 @@ def _emit(text: str, out: str | None):
 
 
 def _cmd_construct(args) -> int:
-    needed, construct = _CONSTRUCTIONS[args.target]
-    _require("construct", args.target, needed, args)
+    construct = _require("construct", _CONSTRUCTIONS, args.target, args)
     g = construct(args)
     _emit(format_ecg(g), args.out)
     if args.out:
@@ -183,8 +188,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_find(args) -> int:
     pattern = args.pattern
-    needed, find = _FINDERS[pattern]
-    _require("find", pattern, needed, args)
+    find = _require("find", _FINDERS, pattern, args)
     w = find(_read_graph(args.file), args)
     if w is None:
         print(f"{pattern}: absent")
@@ -204,8 +208,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    needed, verify = _LEMMAS[args.lemma]
-    _require("verify", args.lemma, needed, args)
+    verify = _require("verify", _LEMMAS, args.lemma, args)
     report = verify(args)
     text = format_report(report)
     _emit(text, args.out)

@@ -12,10 +12,10 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from collections import Counter
-from itertools import combinations
+from itertools import accumulate, combinations, count, product
 
 from .graph import ColoredGraph, is_complete
-from .turan import turan_partition
+from .turan import turan_number, turan_partition
 
 
 def extremal(n: int, k: int) -> ColoredGraph:
@@ -30,23 +30,13 @@ def extremal(n: int, k: int) -> ColoredGraph:
         raise ValueError(f"need k >= 3, got k={k}")
     if n < k - 2 or n < 2:
         raise ValueError(f"need n >= max(2, k-2), got n={n}, k={k}")
+    # every pair gets the shared color t + 1, then the cross pairs get 1..t
+    colors = dict.fromkeys(combinations(range(1, n + 1), 2), turan_number(n, k - 2) + 1)
     sizes = turan_partition(n, k - 2)
-    part_of = {}
-    v = 1
-    for idx, s in enumerate(sizes):
-        for _ in range(s):
-            part_of[v] = idx
-            v += 1
-    colors = {}
-    next_color = 1
-    for u, w in combinations(range(1, n + 1), 2):
-        if part_of[u] != part_of[w]:
-            colors[(u, w)] = next_color
-            next_color += 1
-    shared = next_color  # the one intra-part color, largest id
-    for u, w in combinations(range(1, n + 1), 2):
-        if part_of[u] == part_of[w]:
-            colors[(u, w)] = shared
+    cross = count(1)
+    for size, top in zip(sizes, accumulate(sizes)):  # top: the part's last vertex
+        for pair in product(range(top - size + 1, top + 1), range(top + 1, n + 1)):
+            colors[pair] = next(cross)
     return ColoredGraph(n, colors)
 
 

@@ -71,6 +71,8 @@ class ColoredGraph:
         # a read-only view of a private copy, so the cached properties below
         # cannot go stale and validation cannot be skipped
         object.__setattr__(self, "colors", MappingProxyType(dict(self.colors)))
+        if not isinstance(self.n, int):
+            raise TypeError(f"vertex count must be an int, got {self.n!r}")
         if self.n <= 0:
             raise ValueError(f"vertex count must be positive, got {self.n}")
         for (u, v), c in self.colors.items():

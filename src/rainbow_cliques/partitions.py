@@ -1,10 +1,12 @@
 """Set-partition enumeration via restricted growth strings.
 
-A coloring of m edges with r colors, considered up to color renaming, is a
-set partition of the edge list into r nonempty classes.  Partitions are
-emitted as restricted growth strings (RGS): position i holds the block index
-of element i, blocks numbered by first appearance.  Partitions of a vertex
-set into parts of given sizes are listed directly, as tuples of parts.
+A coloring of m edges with r colors, up to color renaming, is a set
+partition of the edge list into r nonempty classes, emitted as a restricted
+growth string (RGS): position i holds the block index of element i, blocks
+numbered by first appearance.  One table of RGS counts per (m, lo, hi),
+built row by row, gives `completions`, `stirling2` and the sizes of the
+subtrees the enumerator skips.  Partitions of a vertex set into parts of
+given sizes are listed directly, as tuples of parts.
 """
 
 from __future__ import annotations
@@ -15,31 +17,28 @@ from itertools import combinations
 
 
 @lru_cache(maxsize=None)
+def _count_table(m: int, lo: int, hi: int) -> tuple[tuple[int, ...], ...]:
+    """Row j, column b <= min(hi, m - j): completions(j, b, lo, hi).  The
+    next position joins one of the b blocks or opens block b + 1."""
+    rows = [tuple(int(lo <= b) for b in range(min(hi, m) + 1))]
+    for j in range(1, m + 1):
+        row = rows[-1] + (0,)  # no completion passes hi blocks
+        rows.append(tuple(b * row[b] + row[b + 1] for b in range(min(hi, m - j) + 1)))
+    return tuple(rows)
+
+
 def completions(m_left: int, blocks: int, lo: int, hi: int) -> int:
     """Number of RGS completions of m_left more positions, starting from
     `blocks` blocks, that end with between lo and hi blocks."""
-    if m_left == 0:
-        return 1 if lo <= blocks <= hi else 0
-    total = blocks * completions(m_left - 1, blocks, lo, hi)
-    if blocks < hi:
-        total += completions(m_left - 1, blocks + 1, lo, hi)
-    return total
+    if min(m_left, blocks) < 0:
+        raise ValueError(f"need m_left, blocks >= 0, got {m_left}, {blocks}")
+    return _count_table(m_left + blocks, lo, hi)[m_left][blocks] if blocks <= hi else 0
 
 
 def stirling2(m: int, r: int) -> int:
     """Stirling number of the second kind S(m, r): set partitions of m
     elements into exactly r blocks."""
     return completions(m, 0, r, r)
-
-
-@lru_cache(maxsize=None)
-def _skip_sizes(m: int, lo: int, hi: int) -> tuple[tuple[int, ...], ...]:
-    """Row pos, column b: RGS completions of a prefix of length pos + 1 with
-    b blocks, i.e. the size of the subtree skipped there."""
-    return tuple(
-        tuple(completions(m - pos - 1, b, lo, hi) for b in range(min(hi, m) + 1))
-        for pos in range(m)
-    )
 
 
 def rainbow_pruned_partitions(
@@ -94,7 +93,7 @@ def rainbow_pruned_partitions(
             pair[p][q] |= 1 << c
     masks = [sum(1 << i for i in ids) for ids in cuts]
     every = (1 << len(cuts)) - 1
-    skip_sizes = _skip_sizes(m, lo, hi)
+    counts = _count_table(m, lo, hi)
     rgs = [0] * m
     # the positions in each block; a block not yet opened has none
     members: list[list[int]] = [[] for _ in range(min(hi, m))]
@@ -150,8 +149,8 @@ def rainbow_pruned_partitions(
             return
         done = finish[pos]
         pairs = pair[pos]
-        sizes = skip_sizes[pos]
         left = m - pos - 1
+        sizes = counts[left]
         # once the used blocks alone cannot reach lo, only a new block can
         start = blocks if blocks + left < lo else 0
         for b in range(start, min(blocks + 1, hi)):
@@ -173,6 +172,7 @@ def rainbow_pruned_partitions(
             members[b].pop()
 
     rec(0, 0, 0)
+    del rec  # the closure names itself: a cycle that would keep the tables
     return survivors, skipped
 
 
@@ -198,4 +198,7 @@ def _balanced_partitions(n: int, sizes: tuple[int, ...]):
                 yield from rec(left, pool2, acc)
                 acc.pop()
 
-    yield from rec(list(range(1, n + 1)), list(sizes), [])
+    try:
+        yield from rec(list(range(1, n + 1)), list(sizes), [])
+    finally:
+        del rec  # the closure names itself, also when closed early

@@ -119,6 +119,7 @@ def _rainbow_cliques(
 
     clique: list[int] = []
     count = rec(clique, (1 << (n + 1)) - 2, set(), limit)
+    del rec  # the closure names itself
     return count, (tuple(clique) if clique else None)
 
 
@@ -153,14 +154,14 @@ def count_rainbow_cliques(g: ColoredGraph, k: int) -> int:
     W = 8*ceil((n+2)/8) bits wide, holds a mask that belongs to vertex w.
     square(C) = ((C*R) & D)*C, with R = sum of 2^(j(W-1)) and D = sum of
     2^(wW), holds C in block w for each w in C (and 0 elsewhere); nothing
-    carries, as C < 2^(W-1).  G(q) holds good(q, w) in block w < q and A(c)
-    holds N_c(w).  The pairs {w, x} of C that make Q + w + x rainbow are
-    the bits of square(C) & AND G(q) over q in Q, each counted from both
-    ends, outside A(c) for c in U (c(w,x) in U) and outside square(M) for
-    each color c on edges from two vertices q, q' of Q, where M is the
-    candidates that meet c at q or q' (c(w,q) = c(x,q'); the pairs that
-    meet c at one q are out of good already).  As the candidates lie below
-    Q, these big ints stop at Q's lowest block."""
+    carries, as C < 2^(W-1).  One packer fills G(q) with good(q, w) in block
+    w < q and A(c) with N_c(w) = at[w][c] in block w.  The pairs {w, x} of
+    C that make Q + w + x rainbow are the bits of square(C) & AND G(q) over
+    q in Q, each counted from both ends, outside A(c) for c in U (c(w,x) in
+    U) and outside square(M) for each color c on edges from two vertices
+    q, q' of Q, where M is the candidates that meet c at q or q' (c(w,q) =
+    c(x,q'); the pairs that meet c at one q are out of good already).  As
+    the candidates lie below Q, these big ints stop at Q's lowest block."""
     if k < 1:
         raise ValueError(f"clique size must be positive, got k={k}")
     n = g.n
@@ -193,10 +194,6 @@ def count_rainbow_cliques(g: ColoredGraph, k: int) -> int:
         return sum((good[v][u] & (1 << u) - 1).bit_count() for u, v in g.colors)
 
     cm = g.color_matrix
-    classes: dict[int, list[tuple[int, int]]] = {c: [] for c in multi}
-    for e, c in g.colors.items():
-        if c in multi:
-            classes[c].append(e)
     nbytes = (n + 9) // 8
     width = 8 * nbytes
     # R[t] is R cut to its first t terms, all that a C below 2^t needs
@@ -204,11 +201,11 @@ def count_rainbow_cliques(g: ColoredGraph, k: int) -> int:
     for t in range(n + 1):
         R.append(R[-1] | 1 << t * (width - 1))
     D = sum(1 << w * width for w in range(n + 1))
-    # G[u]: good(w, u) in block w < u
-    G = [
-        int.from_bytes(b"".join(m.to_bytes(nbytes, "little") for m in row), "little")
-        for row in good
-    ]
+
+    def pack(masks) -> int:  # mask i in block i
+        return int.from_bytes(b"".join(m.to_bytes(nbytes, "little") for m in masks), "little")
+
+    G = [pack(row) for row in good]
     A: dict[int, int] = {}
 
     def square(m: int) -> int:
@@ -221,11 +218,7 @@ def count_rainbow_cliques(g: ColoredGraph, k: int) -> int:
         for c in used:
             a = A.get(c)
             if a is None:
-                row = bytearray(nbytes * (n + 1))
-                for u, v in classes[c]:
-                    row[u * nbytes + (v >> 3)] |= 1 << (v & 7)
-                    row[v * nbytes + (u >> 3)] |= 1 << (u & 7)
-                a = A[c] = int.from_bytes(row, "little")
+                a = A[c] = pack(x.get(c, 0) for x in at)
             live ^= live & a
         for j, q2 in enumerate(clique):
             a2 = at[q2]
@@ -276,7 +269,9 @@ def count_rainbow_cliques(g: ColoredGraph, k: int) -> int:
             clique.pop()
         return total
 
-    return sum(rec([u], [], adj[u] & (1 << u) - 1, G[u]) for u in range(1, n + 1))
+    total = sum(rec([u], [], adj[u] & (1 << u) - 1, G[u]) for u in range(1, n + 1))
+    del rec  # the closure names itself: a cycle that would keep the tables
+    return total
 
 
 def find_rainbow_complete_bipartite(g: ColoredGraph, a: int, b: int) -> Witness | None:
@@ -339,17 +334,20 @@ def _mono_walk(g: ColoredGraph, nverts: int, closed: bool) -> list[int] | None:
             path.pop()
         return False
 
-    for start in range(1, g.n + 1):
-        # a cycle through a smaller vertex was tried from that vertex
-        seen = (1 << (start + 1)) - 1 if closed else 1 << start
-        path.append(start)
-        for v in _iter_bits(g.adj[start] & ~seen):
-            path.append(v)
-            if rec(v, seen | 1 << v, by_color[cm[start][v]]):
-                return path
+    try:
+        for start in range(1, g.n + 1):
+            # a cycle through a smaller vertex was tried from that vertex
+            seen = (1 << (start + 1)) - 1 if closed else 1 << start
+            path.append(start)
+            for v in _iter_bits(g.adj[start] & ~seen):
+                path.append(v)
+                if rec(v, seen | 1 << v, by_color[cm[start][v]]):
+                    return path
+                path.pop()
             path.pop()
-        path.pop()
-    return None
+        return None
+    finally:
+        del rec  # the closure names itself
 
 
 def find_monochromatic_cycle(g: ColoredGraph, length: int) -> Witness | None:

@@ -274,7 +274,10 @@ def labeled_regular_graphs(n: int, d: int):
                 yield from map((prefix | e).__or__, listed(nxt))
 
     start = tuple((v, d) for v in range(n)) if d else ()
-    yield from streamed(start, 0) if len(start) > _MEMO_DEFICIENT else listed(start)
+    try:
+        yield from streamed(start, 0) if len(start) > _MEMO_DEFICIENT else listed(start)
+    finally:
+        del listed, streamed  # each names itself, so the memo would outlive the call
 
 
 @lru_cache(maxsize=None)

@@ -175,6 +175,16 @@ def test_usage_error_exit_2(capsys):
         (["find", "x", "--pattern", "mono-path"], "find mono-path requires --len"),
         (["verify", "tightness", "--k", "4"], "verify tightness requires --n and --k"),
         (["verify", "two-cliques"], "verify two-cliques requires --n and --k"),
+        # a flag that another choice of the same subcommand takes
+        (["verify", "triangle-n5", "--n", "4"], "verify triangle-n5 does not take --n"),
+        (["verify", "k6-dichotomy", "--k", "5"], "verify k6-dichotomy does not take --k"),
+        (["construct", "lexicographic", "--n", "8", "--k", "4"],
+         "construct lexicographic does not take --k"),
+        (["construct", "extremal", "--n", "8", "--k", "4", "--which", "mono-c6"],
+         "construct extremal does not take --which"),
+        (["find", "x", "--pattern", "proper-c4", "--k", "4"], "find proper-c4 does not take --k"),
+        (["find", "x", "--pattern", "mono-cycle", "--len", "4", "--r", "2"],
+         "find mono-cycle does not take --r"),
     ]
     for argv, message in cases:
         capsys.readouterr()

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from rainbow_cliques import (
@@ -6,6 +8,7 @@ from rainbow_cliques import (
     counterexample_n7,
     extremal,
     find_monochromatic_cycle,
+    format_ecg,
     find_monochromatic_path,
     find_rainbow_clique,
     find_rainbow_turan,
@@ -70,6 +73,18 @@ class TestExtremal:
             intra = [c for e, c in g.colors.items()
                      if any(e[0] in p and e[1] in p for p in parts)]
             assert set(intra) == {shared}
+
+    def test_ecg_digest_is_frozen(self):
+        # SHA-256 of the ECG texts of extremal(n, k), concatenated, for
+        # k = 3..8 and n = max(2, k-2)..40: every edge keeps its color id,
+        # which the supersaturation rows and the CLI's outputs depend on
+        h = hashlib.sha256()
+        for k in range(3, 9):
+            for n in range(max(2, k - 2), 41):
+                h.update(format_ecg(extremal(n, k)).encode())
+        assert h.hexdigest() == (
+            "8f363e6e8ce30bf149f577fa1562b99adc839ac2cea4d7d014851cb9806fd6f0"
+        )
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -285,6 +285,10 @@ class TestConstruction:
         with pytest.raises(ValueError, match=f"^{message}$"):
             ColoredGraph(n, colors)
 
+    def test_rejects_a_vertex_count_that_is_not_an_int(self):
+        with pytest.raises(TypeError, match=r"^vertex count must be an int, got 2\.5$"):
+            ColoredGraph(2.5, {})
+
 
 class TestImmutability:
     def test_colors_reject_item_assignment(self):

@@ -49,6 +49,17 @@ class TestStirling:
         assert stirling2(15, 10) == 12662650
         assert stirling2(5, 6) == 0
 
+    def test_large_m_needs_no_recursion(self):
+        # S(m, 2) = 2^(m-1) - 1: the count table is built row by row, so m
+        # is not bounded by the interpreter's recursion limit
+        assert stirling2(1500, 2) == 2**1499 - 1
+
+    def test_negative_counts_are_rejected(self):
+        with pytest.raises(ValueError, match="m_left, blocks >= 0"):
+            stirling2(-1, 0)
+        with pytest.raises(ValueError, match="m_left, blocks >= 0"):
+            completions(3, -1, 0, 3)
+
     def test_bell(self):
         assert [bell(m) for m in range(8)] == [1, 1, 2, 5, 15, 52, 203, 877]
 
