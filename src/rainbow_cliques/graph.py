@@ -158,6 +158,8 @@ def induced_subgraph(g: ColoredGraph, keep: Iterable[int]) -> ColoredGraph:
 
 def delete_vertex(g: ColoredGraph, v: int) -> ColoredGraph:
     """G - v with order-preserving relabeling."""
+    if not 1 <= v <= g.n:
+        raise ValueError(f"vertex out of range: {v} not in 1..{g.n}")
     return induced_subgraph(g, [u for u in range(1, g.n + 1) if u != v])
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 import statistics
 import time
+from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -44,7 +45,7 @@ class VerificationReport:
 
 
 def format_report(report: VerificationReport) -> str:
-    ms = int(report.elapsed * 1000)
+    ms = round(report.elapsed * 1000)
     lines = [
         f"LEMMA {report.lemma_id} SPACE {report.space_size} "
         f"CE {len(report.counterexamples)} TIME {ms}"
@@ -210,39 +211,34 @@ def verify_k6_dichotomy() -> VerificationReport:
 
 # -- labeled regular graph enumeration -------------------------------------
 
-# Completion lists are kept for states with at most this many deficient
-# vertices; states with more are streamed.
-_MEMO_DEFICIENT = 5
 
-
-@lru_cache(maxsize=None)
-def _pair_bits(n: int) -> tuple[tuple[int, ...], ...]:
-    """bits[u][v] (u < v) is 1 << i for the i-th pair of
-    combinations(range(n), 2): the bit of edge uv in an edge mask."""
-    bits = [[0] * n for _ in range(n)]
-    for i, (u, v) in enumerate(combinations(range(n), 2)):
+def _pair_bits(n: int) -> list[list[int]]:
+    """bits[u][v] (1 <= u < v <= n) is 1 << i for the i-th pair of
+    combinations(range(1, n + 1), 2): the bit of edge uv in an edge mask."""
+    bits = [[0] * (n + 1) for _ in range(n + 1)]
+    for i, (u, v) in enumerate(combinations(range(1, n + 1), 2)):
         bits[u][v] = 1 << i
-    return tuple(map(tuple, bits))
+    return bits
 
 
-def labeled_regular_graphs(n: int, d: int):
-    """Yield every labeled simple d-regular graph on vertices 0..n-1 exactly
-    once, as an edge mask: bit i is the i-th pair of combinations(range(n),
-    2), so at most 36 bits for n <= 9.
+def labeled_regular_graphs(n: int, d: int) -> array:
+    """Every labeled simple d-regular graph on vertices 1..n exactly once,
+    as an array of edge masks: bit i is the i-th pair of
+    combinations(range(1, n + 1), 2).  A mask fits a 64-bit "Q" word while
+    C(n, 2) <= 64, that is n <= 11; the reductions use n <= 9.
 
     Backtracking completes the smallest deficient vertex first, joining it
     only to later deficient vertices, so every edge has an end that is full
     once the edge is added: no edge ever joins two deficient vertices.  The
     completions of a partial graph therefore depend only on its state, the
-    tuple of (vertex, residual degree) over its deficient vertices.  Each
-    state with at most _MEMO_DEFICIENT deficient vertices lists its
-    completions once; the key keeps the vertex labels, since the edges a
-    completion adds depend on them.  States with more are streamed.  The
-    graphs come in the order of plain backtracking over combinations."""
+    tuple of (vertex, residual degree) over its deficient vertices, and each
+    state lists its completions once; the key keeps the vertex labels, since
+    the edges a completion adds depend on them.  The graphs come in the
+    order of plain backtracking over combinations."""
     if n * d % 2 != 0 or d >= n:
-        return
+        return array("Q")
     bits = _pair_bits(n)
-    memo: dict[tuple[tuple[int, int], ...], list[int]] = {}
+    memo: dict[tuple[tuple[int, int], ...], array] = {(): array("Q", [0])}
 
     def branches(state):
         # each way to complete state's first vertex: its edges, the next state
@@ -256,48 +252,17 @@ def labeled_regular_graphs(n: int, d: int):
                 nxt[i] = (v, r - 1)
             yield edges, tuple(s for s in nxt if s[1])
 
-    def listed(state) -> list[int]:
+    def listed(state) -> array:
         got = memo.get(state)
         if got is None:
-            got = memo[state] = [
-                e | c for e, nxt in branches(state) for c in listed(nxt)
-            ] if state else [0]
+            got = memo[state] = array(
+                "Q", [e | c for e, nxt in branches(state) for c in listed(nxt)]
+            )
         return got
 
-    def streamed(state, prefix: int):
-        # the memo lists are read in this frame: one fewer generator to
-        # pass each graph through
-        for e, nxt in branches(state):
-            if len(nxt) > _MEMO_DEFICIENT:
-                yield from streamed(nxt, prefix | e)
-            else:
-                yield from map((prefix | e).__or__, listed(nxt))
-
-    start = tuple((v, d) for v in range(n)) if d else ()
-    try:
-        yield from streamed(start, 0) if len(start) > _MEMO_DEFICIENT else listed(start)
-    finally:
-        del listed, streamed  # each names itself, so the memo would outlive the call
-
-
-@lru_cache(maxsize=None)
-def _subset_edge_masks(n: int, size: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Each `size`-subset of range(n), in combinations order, with the edge
-    mask of the pairs inside it."""
-    bits = _pair_bits(n)
-    return tuple(
-        (sub, sum(bits[u][v] for u, v in combinations(sub, 2)))
-        for sub in combinations(range(n), size)
-    )
-
-
-def _subsets_with_few_edges(edges: int, n: int, size: int):
-    """First `size`-subset of the graph on range(n) with edge mask `edges`
-    that spans fewer than 2 edges, or None."""
-    for sub, mask in _subset_edge_masks(n, size):
-        if (edges & mask).bit_count() < 2:
-            return sub
-    return None
+    graphs = listed(tuple((v, d) for v in range(1, n + 1)) if d else ())
+    del listed  # it names itself, so the memo would outlive the call
+    return graphs
 
 
 def _mono_graph(edges: int, n: int) -> ColoredGraph:
@@ -307,33 +272,30 @@ def _mono_graph(edges: int, n: int) -> ColoredGraph:
 
 
 def _regular_reduction(lemma_id: str, n: int, d: int, size: int) -> VerificationReport:
-    """Enumerate all labeled d-regular graphs on n vertices as edge masks
-    (see labeled_regular_graphs); keep those in which every `size`-subset
-    spans >= 2 edges, by ANDing each subset's edge mask with the graph's;
-    assert the kept graphs are exactly the disjoint unions of K_{d+1}.  The
-    clique unions are the edge masks of the partitions of the vertices into
-    q = n/(d+1) parts of size d+1.  The counterexamples are each kept graph
-    that is not a clique union, in enumeration order, then each clique
-    union the filter dropped, in partition order.  Only kept graphs and
+    """Enumerate all labeled d-regular graphs on 1..n as edge masks (see
+    labeled_regular_graphs); keep those in which every `size`-subset spans
+    >= 2 edges, dropping with each subset's edge mask the graphs it meets
+    in fewer; assert the kept graphs are exactly the disjoint unions of
+    K_{d+1}.  The clique unions are the edge masks of the partitions of the
+    vertices into q = n/(d+1) parts of size d+1.  The counterexamples are
+    each kept graph that is not a clique union, in enumeration order, then
+    each clique union the filter dropped, in partition order.  Only
     counterexamples are unpacked from their masks."""
     t0 = time.perf_counter()
     bits = _pair_bits(n)
-    unions = (
-        sum(bits[u - 1][v - 1] for part in parts for u, v in combinations(part, 2))
+    unions = dict.fromkeys(
+        sum(bits[u][v] for part in parts for u, v in combinations(part, 2))
         for parts in _balanced_partitions(n, (d + 1,) * (n // (d + 1)))
+    )  # an ordered set: clique-union masks in partition order
+    kept = graphs = labeled_regular_graphs(n, d)
+    for pairs in _subset_pairs(n, size):
+        sub = sum(bits[u][v] for u, v in pairs)
+        kept = [g for g in kept if (g & sub).bit_count() > 1]
+    found = set(kept)
+    ces = [g for g in kept if g not in unions] + [g for g in unions if g not in found]
+    return VerificationReport(
+        lemma_id, len(graphs), [_mono_graph(g, n) for g in ces], time.perf_counter() - t0
     )
-    kept = dict.fromkeys(unions, False)  # clique-union mask -> kept by the filter
-    space = 0
-    ces: list[ColoredGraph] = []
-    for edges in labeled_regular_graphs(n, d):
-        space += 1
-        if _subsets_with_few_edges(edges, n, size) is None:
-            if edges in kept:
-                kept[edges] = True
-            else:
-                ces.append(_mono_graph(edges, n))
-    ces.extend(_mono_graph(edges, n) for edges, seen in kept.items() if not seen)
-    return VerificationReport(lemma_id, space, ces, time.perf_counter() - t0)
 
 
 def verify_k8_reduction() -> VerificationReport:

@@ -17,13 +17,7 @@ from rainbow_cliques import (
     lexicographic,
 )
 from rainbow_cliques.partitions import _balanced_partitions, rainbow_pruned_partitions
-from rainbow_cliques.verify import labeled_regular_graphs
-
-
-def closed_early(n, d):
-    graphs = labeled_regular_graphs(n, d)
-    next(graphs)
-    graphs.close()
+from rainbow_cliques.verify import labeled_regular_graphs, verify_k9_reduction
 
 
 CALLS = {
@@ -37,9 +31,8 @@ CALLS = {
     "pruned partitions": lambda: rainbow_pruned_partitions(6, 2, 4, [(0, 1, 2), (2, 3, 4)]),
     "balanced partitions": lambda: list(_balanced_partitions(6, (2, 2, 2))),
     "rainbow turan, stops early": lambda: find_rainbow_turan(extremal(6, 4), 2),
-    "regular graphs, listed": lambda: list(labeled_regular_graphs(5, 2)),
-    "regular graphs, streamed": lambda: list(labeled_regular_graphs(7, 2)),
-    "regular graphs, closed early": lambda: closed_early(8, 3),
+    "regular graphs": lambda: labeled_regular_graphs(8, 3),
+    "k9 reduction": verify_k9_reduction,
 }
 
 

@@ -228,6 +228,11 @@ class TestInducedSubgraph:
         with pytest.raises(ValueError):
             induced_subgraph(rainbow_k4(), [])
 
+    @pytest.mark.parametrize("v", [0, 5, -1])
+    def test_delete_vertex_out_of_range(self, v):
+        with pytest.raises(ValueError, match=rf"^vertex out of range: {v} not in 1\.\.4$"):
+            delete_vertex(rainbow_k4(), v)
+
     def test_out_of_range_keep(self):
         with pytest.raises(ValueError):
             induced_subgraph(rainbow_k4(), [1, 5])

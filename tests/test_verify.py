@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from rainbow_cliques import (
     falsify_two_cliques,
     find_monochromatic_cycle,
     find_rainbow_turan,
+    format_ecg,
     format_report,
     k6_variant,
     parse_report,
@@ -28,10 +30,7 @@ from rainbow_cliques import (
     Witness,
 )
 from rainbow_cliques import verify
-from rainbow_cliques.verify import (
-    _subsets_with_few_edges,
-    labeled_regular_graphs,
-)
+from rainbow_cliques.verify import _pair_bits, _subset_pairs, labeled_regular_graphs
 
 
 class TestSaturationSolutions:
@@ -92,13 +91,28 @@ def edge_mask(adj):
     return sum(1 << i for i, (u, v) in enumerate(pairs) if adj[u] >> v & 1)
 
 
+def sparse_subset(edges, n, size):
+    """The first `size`-subset in the library's own subset table that spans
+    fewer than 2 edges of the mask, as vertices 0..n-1 like edge_mask's
+    adjacency, or None."""
+    bits = _pair_bits(n)
+    for pairs in _subset_pairs(n, size):
+        if (edges & sum(bits[u][v] for u, v in pairs)).bit_count() < 2:
+            return tuple(sorted({v - 1 for pair in pairs for v in pair}))
+    return None
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 class TestRegularGraphEnumeration:
     def test_k4_is_only_cubic_on_4(self):
         graphs = list(labeled_regular_graphs(4, 3))
         k4 = tuple(0b1111 & ~(1 << v) for v in range(4))
         assert graphs == [edge_mask(k4)]
         # sanity mode: every 4-subset of K4 spans 6 >= 2 edges
-        assert _subsets_with_few_edges(graphs[0], 4, 4) is None
+        assert sparse_subset(graphs[0], 4, 4) is None
 
     def test_two_regular_on_6(self):
         # 60 labeled C6 plus 10 labeled C3+C3
@@ -123,6 +137,15 @@ class TestRegularGraphEnumeration:
         for n, count in counts.items():
             assert sum(1 for _ in labeled_regular_graphs(n, d)) == count, n
 
+    @pytest.mark.parametrize("n, d, digest", [
+        (8, 3, "6ddd6a664f75846b7c2d7f6566f73366d6c9bbf18fe1496dd19ce3f85629aa83"),
+        (9, 2, "f1622dcb36e61394982bc56a6668c91de689be8487768ecf54090b31ad10ecd6"),
+    ])
+    def test_masks_and_their_order_are_frozen(self, n, d, digest):
+        graphs = labeled_regular_graphs(n, d)
+        assert graphs.typecode == "Q"
+        assert sha256(",".join(map(str, graphs))) == digest
+
 
 class TestK9Eliminations:
     def cycle_adj(self, cycles):
@@ -144,7 +167,7 @@ class TestK9Eliminations:
 
     def assert_filtered(self, adj):
         # the mask filter finds a 5-subset that the adjacency count agrees on
-        sub = _subsets_with_few_edges(edge_mask(adj), 9, 5)
+        sub = sparse_subset(edge_mask(adj), 9, 5)
         assert sub is not None and self.count_edges(adj, sub) < 2
 
     def test_c9_tuple(self):
@@ -165,20 +188,28 @@ class TestK9Eliminations:
 
     def test_three_triangles_pass_filter(self):
         adj = self.cycle_adj([[0, 1, 2], [3, 4, 5], [6, 7, 8]])
-        assert _subsets_with_few_edges(edge_mask(adj), 9, 5) is None
+        assert sparse_subset(edge_mask(adj), 9, 5) is None
 
 
 class TestRegularReductionMutations:
     def test_filter_keeping_nothing_fails_k8(self, monkeypatch):
-        monkeypatch.setattr(verify, "_subsets_with_few_edges", lambda edges, n, size: (0,))
+        # one subset with no pairs spans 0 edges of every graph
+        monkeypatch.setattr(verify, "_subset_pairs", lambda n, s: ((),))
         r = verify.verify_k8_reduction()
-        # every dropped K4 + K4 is reported
+        # every dropped K4 + K4 is reported, in partition order
         assert len(r.counterexamples) == 35
+        assert sha256("".join(map(format_ecg, r.counterexamples))) == (
+            "42f198423d52f3c9ff4160b361237a08d11892900b81287087c4af3f963ec9cc"
+        )
 
     def test_filter_keeping_everything_fails_k9(self, monkeypatch):
-        monkeypatch.setattr(verify, "_subsets_with_few_edges", lambda edges, n, size: None)
+        monkeypatch.setattr(verify, "_subset_pairs", lambda n, s: ())
         r = verify.verify_k9_reduction()
+        # every kept graph that is not C3 + C3 + C3, in enumeration order
         assert len(r.counterexamples) == 30016 - 280
+        assert sha256("".join(map(format_ecg, r.counterexamples))) == (
+            "f94cede6f4ae24c1ffd710825f6871c1d74b1f2c3f42ab600119dde46b7000dc"
+        )
 
 
 class TestK6DichotomyMutation:
@@ -347,6 +378,12 @@ class TestReportFormat:
         ce = ColoredGraph(3, {(1, 2): 1, (1, 3): 1, (2, 3): 1})
         back = parse_ecg(format_ecg(ce))
         assert find_rainbow_clique(back, 3) is None
+
+    def test_time_round_trips(self):
+        # 1.001 * 1000 is 1000.9999999999999, so truncating would write 1000
+        for ms in range(100_000):
+            text = f"LEMMA x SPACE 0 CE 0 TIME {ms}\n"
+            assert format_report(parse_report(text)) == text
 
     def test_success_report(self):
         report = VerificationReport("x", 1, [], 0.0)
