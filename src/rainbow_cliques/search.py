@@ -10,13 +10,16 @@ table built once per count: for each edge uv, the vertices w that make
 triangle uvw rainbow, and per-color neighbour masks for the colors on two or
 more edges.  The clique on k-2 vertices then counts the pairs of candidates
 that finish it with a few big-int operations on one vertex mask per block,
-so neither (k-1)- nor k-cliques are visited one by one, and k = 3 is a sum
-of popcounts over the edges.  Finding stops at a limit (the first clique, or
-the falsifier's second) and checks each candidate's colors against the used
-ones: a hit comes early there, and the tables would cost more than the
-search.  That search, ``_rainbow_cliques(n, adj, cm, k, limit)``, takes the
-adjacency masks and color matrix rather than a ColoredGraph, so the
-falsifier can run it on one matrix that it rewrites for each trial.
+so neither (k-1)- nor k-cliques are visited one by one.  k = 3 is all
+triangles less the non-rainbow ones: over the c-neighbourhoods N_c(x), the
+edges inside count a triangle with two c-edges at x once and a monochromatic
+one three times, and the c-edges inside count only the latter, three times.
+Finding stops at a limit (the first clique, or the falsifier's second) and
+checks each candidate's colors against the used ones: a hit comes early
+there, and the tables would cost more than the search.  That search,
+``_rainbow_cliques(n, adj, cm, k, limit)``, takes the adjacency masks and
+color matrix rather than a ColoredGraph, so the falsifier can run it on one
+matrix that it rewrites for each trial.
 """
 
 from __future__ import annotations
@@ -143,12 +146,20 @@ def count_rainbow_cliques(g: ColoredGraph, k: int) -> int:
 
     N_c(x) is x's neighbours over an edge of color c, kept only for the
     colors on two or more edges, as a color on one edge cannot repeat.
-    good(u, v), built once per count for each edge, is the w that make uvw
-    a rainbow triangle.  Adding v to the clique Q, whose edges use the
-    colors U, keeps the w in cand below v that lie in good(u, v) for every
-    u in Q and outside N_c(v) for c in U and N_{c(v,u')}(u) for u != u' in
-    Q.  So k = 3 sums the popcounts of good(u, v) below u < v over the
-    edges.
+
+    k = 3 is T - (p/2 - q/3), T the triangles (adj[u] & adj[v] below u
+    over the edges uv).  Over S = N_c(x) for every vertex x and color c,
+    e(S) counts each of the t2 triangles with exactly two c-edges once (at
+    x, where they meet) and each of the t3 monochromatic ones at all three
+    vertices, so it sums to t2 + 3*t3; the c-edges in S count only the
+    latter, 3*t3.  p and q are these sums from both ends of each edge
+    (adj[u] & S and N_c(u) & S over u in S), so p/2 - q/3 = t2 + t3.
+
+    For k >= 4, good(u, v), built once per count for each edge, is the w
+    that make uvw a rainbow triangle.  Adding v to the clique Q, whose
+    edges use the colors U, keeps the w in cand below v that lie in
+    good(u, v) for every u in Q and outside N_c(v) for c in U and
+    N_{c(v,u')}(u) for u != u' in Q.
 
     The pair count packs one vertex mask per block of a big int: block w,
     W = 8*ceil((n+2)/8) bits wide, holds a mask that belongs to vertex w.
@@ -177,6 +188,17 @@ def count_rainbow_cliques(g: ColoredGraph, k: int) -> int:
         if c in multi:
             at[u][c] = at[u].get(c, 0) | 1 << v
             at[v][c] = at[v].get(c, 0) | 1 << u
+    if k == 3:
+        # T - (p/2 - q/3), as in the docstring
+        p = q = 0
+        for x in at:
+            for c, s in x.items():
+                if s & (s - 1):
+                    for u in _iter_bits(s):
+                        p += (adj[u] & s).bit_count()
+                        q += (at[u][c] & s).bit_count()
+        t = sum((adj[u] & adj[v] & (1 << u) - 1).bit_count() for u, v in g.colors)
+        return t - p // 2 + q // 3
     # good[v][u] is good(u, v) and shared[v][u] the colors met at both u and
     # v, for the edge uv with u < v
     good = [[0] * v for v in range(n + 1)]
@@ -188,10 +210,8 @@ def count_rainbow_cliques(g: ColoredGraph, k: int) -> int:
         for c2 in both:
             drop |= au[c2] & av[c2]
         good[v][u] = adj[u] & adj[v] & ~drop
-        if both and k > 3:
+        if both:
             shared[v][u] = tuple(both)
-    if k == 3:
-        return sum((good[v][u] & (1 << u) - 1).bit_count() for u, v in g.colors)
 
     cm = g.color_matrix
     nbytes = (n + 9) // 8

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from rainbow_cliques import (
     ColoredGraph,
+    count_rainbow_cliques,
     delete_vertex,
     find_monochromatic_cycle,
     find_monochromatic_path,
@@ -20,6 +21,7 @@ from rainbow_cliques import (
     saturation,
     validate_witness,
 )
+from oracles import count_rainbow_cliques_naive
 
 
 @st.composite
@@ -71,6 +73,12 @@ def test_induced_identity(g):
 @settings(max_examples=100, deadline=None)
 def test_ecg_round_trip(g):
     assert parse_ecg(format_ecg(g)) == g
+
+
+@given(colored_graphs(), st.integers(min_value=3, max_value=5))
+@settings(max_examples=200, deadline=None)
+def test_count_matches_naive_oracle(g, k):
+    assert count_rainbow_cliques(g, k) == count_rainbow_cliques_naive(g, k)
 
 
 def _witnesses(g):

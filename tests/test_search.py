@@ -217,6 +217,32 @@ class TestCountRainbowCliques:
         g = ColoredGraph(3, {(1, 2): 1, (1, 3): 2, (2, 3): 2})
         assert count_rainbow_cliques(g, 3) == 0
 
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_extremal_triangles_closed_form(self, k):
+        # a triangle is rainbow unless all three vertices lie in one part,
+        # where every edge has the shared color
+        for n in (*range(max(3, k - 2), 31), 47, 64, 99, 100):
+            want = comb(n, 3) - sum(comb(s, 3) for s in turan_partition(n, k - 2))
+            assert count_rainbow_cliques(extremal(n, k), 3) == want
+
+    def test_lexicographic_has_no_rainbow_triangle(self):
+        # a < b < c: the edges ab and ac both have color a
+        for n in range(2, 41):
+            assert count_rainbow_cliques(lexicographic(n), 3) == 0
+
+    def test_monochromatic_and_two_colored_triangles_at_one_vertex(self):
+        # 123 is monochromatic, 145 has two edges of color 1 meeting at 1
+        # and 456 is rainbow.  Within the neighbours of 1 over color 1,
+        # {2, 3, 4, 5}, the edges 23 and 45 count each non-rainbow triangle
+        # once, but 123 is also seen from 2 and 3: only the term for the
+        # color-1 edges (13 at 2, 12 at 3, 23 at 1) takes it back to once
+        g = ColoredGraph(6, {
+            (1, 2): 1, (1, 3): 1, (2, 3): 1,
+            (1, 4): 1, (1, 5): 1, (4, 5): 2,
+            (4, 6): 3, (5, 6): 4,
+        })
+        assert count_rainbow_cliques(g, 3) == count_rainbow_cliques_naive(g, 3) == 1
+
     def test_limit_stops_at_the_limit_th_clique(self):
         rng = random.Random(29)
         for _ in range(60):
