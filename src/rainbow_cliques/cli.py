@@ -139,14 +139,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_graph(path: str):
+    # an OSError goes up to `run`, which reports it as an io error
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
         text = data.decode("utf-8-sig")
-        if "\r" in text:  # newlines translated as text mode would
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
-    except OSError as exc:
-        raise ECGParseError(0, f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         # exc.object is the data after a leading byte-order mark
         offset = exc.start + len(data) - len(exc.object)
@@ -154,6 +151,8 @@ def _read_graph(path: str):
         raise ECGParseError(
             0, f"cannot read {path}: not UTF-8 text (byte {byte:#04x} at offset {offset})"
         ) from None
+    if "\r" in text:  # newlines translated as text mode would
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     return parse_ecg(text)
 
 

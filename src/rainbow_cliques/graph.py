@@ -91,14 +91,8 @@ class ColoredGraph:
     def c(self) -> int:
         return len(set(self.colors.values()))
 
-    def edges(self) -> list[tuple[int, int]]:
-        return sorted(self.colors)
-
     def color_of(self, u: int, v: int) -> int | None:
         return self.colors.get(_edge_key(u, v))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return _edge_key(u, v) in self.colors
 
     @cached_property
     def adj(self) -> tuple[int, ...]:
@@ -129,11 +123,6 @@ class ColoredGraph:
 
 
 # -- operations -----------------------------------------------------------
-
-
-def counts(g: ColoredGraph) -> tuple[int, int]:
-    """(e(G), c(G)): number of edges and number of distinct colors."""
-    return g.e, g.c
 
 
 def is_complete(g: ColoredGraph) -> bool:
@@ -300,6 +289,6 @@ def _parse_lines(text: str) -> ColoredGraph:
 
 def format_ecg(g: ColoredGraph) -> str:
     lines = [f"{g.n} {g.e}"]
-    for u, v in g.edges():
-        lines.append(f"{u} {v} {g.colors[(u, v)]}")
+    for (u, v), c in sorted(g.colors.items()):
+        lines.append(f"{u} {v} {c}")
     return "\n".join(lines) + "\n"

@@ -62,15 +62,33 @@ def _witness(g: ColoredGraph, kind: str, verts, pairs, parts=()) -> Witness:
     return Witness(kind, tuple(verts), edges, tuple(parts))
 
 
-def _rainbow(cm, pairs) -> bool:
-    """Whether every pair is an edge and no two of them share a color."""
-    cols = set()
-    for u, v in pairs:
-        col = cm[u][v]
-        if col == 0 or col in cols:
-            return False
-        cols.add(col)
-    return True
+def _first_rainbow_split(g: ColoredGraph, kind: str, splits) -> Witness | None:
+    """The first of `splits` (each a sequence of parts, vertex tuples) whose
+    cross pairs are edges with pairwise distinct colors, as a `kind` witness."""
+    cm = g.color_matrix
+    for parts in splits:
+        cols = set()
+        for u, v in _cross(parts):
+            col = cm[u][v]
+            if col == 0 or col in cols:
+                break
+            cols.add(col)
+        else:
+            verts = [v for part in parts for v in part]
+            return _witness(g, kind, verts, _cross(parts), map(len, parts))
+    return None
+
+
+def _color_nbhds(g: ColoredGraph) -> list[dict[int, int]]:
+    """at[x][c] is N_c(x), x's neighbours over an edge of color c, for the
+    colors on two or more edges only: a color on one edge cannot repeat."""
+    multi = {c for c, size in Counter(g.colors.values()).items() if size >= 2}
+    at: list[dict[int, int]] = [{} for _ in range(g.n + 1)]
+    for (u, v), c in g.colors.items():
+        if c in multi:
+            at[u][c] = at[u].get(c, 0) | 1 << v
+            at[v][c] = at[v].get(c, 0) | 1 << u
+    return at
 
 
 def _rainbow_cliques(
@@ -145,7 +163,7 @@ def count_rainbow_cliques(g: ColoredGraph, k: int) -> int:
     (k-1)-clique is visited one by one.
 
     N_c(x) is x's neighbours over an edge of color c, kept only for the
-    colors on two or more edges, as a color on one edge cannot repeat.
+    colors on two or more edges (`_color_nbhds`).
 
     k = 3 is T - (p/2 - q/3), T the triangles (adj[u] & adj[v] below u
     over the edges uv).  Over S = N_c(x) for every vertex x and color c,
@@ -181,13 +199,7 @@ def count_rainbow_cliques(g: ColoredGraph, k: int) -> int:
     if k <= 2:
         return n if k == 1 else g.e  # every vertex and every edge is rainbow
     adj = g.adj
-    multi = {c for c, size in Counter(g.colors.values()).items() if size >= 2}
-    # at[x][c] is N_c(x)
-    at: list[dict[int, int]] = [{} for _ in range(n + 1)]
-    for (u, v), c in g.colors.items():
-        if c in multi:
-            at[u][c] = at[u].get(c, 0) | 1 << v
-            at[v][c] = at[v].get(c, 0) | 1 << u
+    at = _color_nbhds(g)
     if k == 3:
         # T - (p/2 - q/3), as in the docstring
         p = q = 0
@@ -251,7 +263,7 @@ def count_rainbow_cliques(g: ColoredGraph, k: int) -> int:
                             live ^= live & square(m | m2)
         return live.bit_count() >> 1
 
-    # `used` keeps the colors of U in `multi`: N_c is empty for the others
+    # `used` keeps the colors of U on two or more edges: N_c is empty for the others
     def rec(clique: list[int], used: list[int], cand: int, both: int) -> int:
         total = 0
         last = len(clique) == k - 3
@@ -301,16 +313,14 @@ def find_rainbow_complete_bipartite(g: ColoredGraph, a: int, b: int) -> Witness 
         raise ValueError(f"part sizes must be positive, got ({a},{b})")
     if a + b > g.n:
         return None
-    cm = g.color_matrix
     verts = range(1, g.n + 1)
-    for A in combinations(verts, a):
-        rest = [v for v in verts if v not in A]
-        for B in combinations(rest, b):
-            if a == b and B[0] < A[0]:
-                continue  # unordered pair of parts
-            if _rainbow(cm, _cross((A, B))):
-                return _witness(g, "rainbow-bipartite", A + B, _cross((A, B)), (a, b))
-    return None
+    splits = (
+        (A, B)
+        for A in combinations(verts, a)
+        for B in combinations([v for v in verts if v not in A], b)
+        if a != b or A[0] < B[0]  # with a == b the pair of parts is unordered
+    )
+    return _first_rainbow_split(g, "rainbow-bipartite", splits)
 
 
 def find_rainbow_turan(g: ColoredGraph, r: int) -> Witness | None:
@@ -319,12 +329,8 @@ def find_rainbow_turan(g: ColoredGraph, r: int) -> Witness | None:
     the witness lists its parts by their smallest vertex."""
     if not (1 <= r <= g.n):
         raise ValueError(f"part count must satisfy 1 <= r <= n, got r={r}")
-    cm = g.color_matrix
-    for parts in _balanced_partitions(g.n, turan_partition(g.n, r)):
-        if _rainbow(cm, _cross(parts)):
-            verts = [v for part in parts for v in part]
-            return _witness(g, "rainbow-turan", verts, _cross(parts), map(len, parts))
-    return None
+    splits = _balanced_partitions(g.n, turan_partition(g.n, r))
+    return _first_rainbow_split(g, "rainbow-turan", splits)
 
 
 def _mono_walk(g: ColoredGraph, nverts: int, closed: bool) -> list[int] | None:
@@ -332,24 +338,18 @@ def _mono_walk(g: ColoredGraph, nverts: int, closed: bool) -> list[int] | None:
     all share one color, or None.  With `closed` it is a cycle: the closing
     edge has that color too and the first vertex is the smallest.  The
     reverse of a hit is a hit, so the first one found has its second vertex
-    below its last (cycle) or its first endpoint below its last (path)."""
+    below its last (cycle) or its first endpoint below its last (path).
+    Past its first edge a walk reads N_c, which has no color on one edge."""
     cm = g.color_matrix
-    # per color, adjacency bitmasks of that color class
-    by_color: dict[int, list[int]] = {}
-    for (u, v), c in g.colors.items():
-        masks = by_color.get(c)
-        if masks is None:
-            masks = by_color[c] = [0] * (g.n + 1)
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
+    at = _color_nbhds(g)
     path: list[int] = []
 
-    def rec(last: int, seen: int, masks: list[int]) -> bool:
+    def rec(last: int, seen: int, c: int) -> bool:
         if len(path) == nverts:
-            return not closed or masks[last] >> path[0] & 1 == 1
-        for v in _iter_bits(masks[last] & ~seen):
+            return not closed or cm[last][path[0]] == c
+        for v in _iter_bits(at[last].get(c, 0) & ~seen):
             path.append(v)
-            if rec(v, seen | 1 << v, masks):
+            if rec(v, seen | 1 << v, c):
                 return True
             path.pop()
         return False
@@ -361,7 +361,7 @@ def _mono_walk(g: ColoredGraph, nverts: int, closed: bool) -> list[int] | None:
             path.append(start)
             for v in _iter_bits(g.adj[start] & ~seen):
                 path.append(v)
-                if rec(v, seen | 1 << v, by_color[cm[start][v]]):
+                if rec(v, seen | 1 << v, cm[start][v]):
                     return path
                 path.pop()
             path.pop()

@@ -1,5 +1,5 @@
-"""Exact Turán numbers, the increment identity, balanced partitions, and the
-e(G)+c(G) thresholds for rainbow cliques.
+"""Exact Turán numbers, balanced partitions, and the e(G)+c(G) thresholds
+for rainbow cliques.
 
 All arithmetic is exact integer arithmetic: thresholds are compared for
 equality downstream, so no floating point enters here.
@@ -21,16 +21,6 @@ def turan_number(n: int, k: int) -> int:
     num = (k - 1) * (n * n - i * i)
     assert num % (2 * k) == 0
     return num // (2 * k) + comb(i, 2)
-
-
-def turan_increment(n: int, k: int) -> int:
-    """t_{n+1,k} - t_{n,k} = n - (n-i)/k with i = n mod k."""
-    if k <= 0:
-        raise ValueError(f"part count must be positive, got k={k}")
-    if n < 0:
-        raise ValueError(f"vertex count must be nonnegative, got n={n}")
-    i = n % k
-    return n - (n - i) // k
 
 
 def turan_partition(n: int, k: int) -> tuple[int, ...]:

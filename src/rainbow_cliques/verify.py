@@ -29,7 +29,7 @@ from .search import (
     find_rainbow_clique,
     find_rainbow_turan,
 )
-from .turan import thresholds, turan_number
+from .turan import thresholds
 
 
 @dataclass
@@ -147,7 +147,7 @@ def verify_triangle_threshold(n: int) -> VerificationReport:
         raise ValueError(f"triangle verifier supports 3 <= n <= 5, got n={n}")
     t0 = time.perf_counter()
     all_edges = list(combinations(range(1, n + 1), 2))
-    threshold = comb(n, 2) + n
+    threshold = thresholds(n, 3)[1]
     space = 0
     ces: list[ColoredGraph] = []
     for subset_mask in range(1 << len(all_edges)):
@@ -384,7 +384,7 @@ def falsify_two_cliques(
         raise ValueError(f"need at least one trial, got trials={trials}")
     t0 = time.perf_counter()
     e = comb(n, 2)
-    target = e + turan_number(n, k - 2) + 2
+    target = thresholds(n, k)[1]
     rng = random.Random(seed)
     all_edges = list(combinations(range(1, n + 1), 2))
     palette = range(1, target - e + 1)

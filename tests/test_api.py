@@ -13,6 +13,21 @@ def test_every_exported_name_resolves():
         assert getattr(rainbow_cliques, name, None) is not None, name
 
 
+def test_public_names():
+    assert sorted(rainbow_cliques.__all__) == [
+        "ColoredGraph", "ECGParseError", "SaturationProfile", "VerificationReport", "Witness",
+        "count_rainbow_cliques", "counterexample_n7", "delete_vertex", "extremal",
+        "falsify_two_cliques", "find_monochromatic_cycle", "find_monochromatic_path",
+        "find_properly_colored_c4", "find_rainbow_clique", "find_rainbow_complete_bipartite",
+        "find_rainbow_turan", "format_ecg", "format_report", "induced_subgraph", "is_complete",
+        "k6_variant", "lexicographic", "parse_ecg", "parse_report", "perturb_fresh_colors",
+        "saturation", "stirling2", "supersaturation_experiment", "thresholds", "turan_number",
+        "turan_partition", "validate_witness", "verify_k6_dichotomy", "verify_k8_reduction",
+        "verify_k9_reduction", "verify_saturation_solutions", "verify_tightness",
+        "verify_triangle_threshold",
+    ]
+
+
 def test_no_test_oracle_is_exported():
     names = [
         n for n, f in vars(oracles).items()

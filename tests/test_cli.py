@@ -117,7 +117,12 @@ def test_parse_error_exit_3(tmp_path, capsys):
     bad = tmp_path / "bad.ecg"
     bad.write_text("3 1\n1 1 1\n")
     assert run(["analyze", str(bad)]) == 3
-    assert run(["analyze", str(tmp_path / "missing.ecg")]) == 3
+    missing = tmp_path / "missing.ecg"
+    capsys.readouterr()
+    assert run(["analyze", str(missing)]) == 3
+    assert capsys.readouterr().err == (
+        f"io error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+    )
 
 
 @pytest.mark.parametrize("argv", [

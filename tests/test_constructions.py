@@ -3,7 +3,6 @@ import hashlib
 import pytest
 
 from rainbow_cliques import (
-    counts,
     count_rainbow_cliques,
     counterexample_n7,
     extremal,
@@ -33,18 +32,18 @@ def extremal_part_ranges(n: int, k: int):
 class TestExtremal:
     def test_counts_8_4(self):
         g = extremal(8, 4)
-        assert counts(g) == (28, 17)
+        assert (g.e, g.c) == (28, 17)
         prof = saturation(g)
         assert prof.tallies == (1, 0, 16)
 
     def test_counts_9_5(self):
         g = extremal(9, 5)
-        assert counts(g) == (36, 28)
+        assert (g.e, g.c) == (36, 28)
         assert set(saturation(g).ds.values()) == {6}
 
     def test_6_4_has_rainbow_turan(self):
         g = extremal(6, 4)
-        assert counts(g) == (15, 10)
+        assert (g.e, g.c) == (15, 10)
         assert find_rainbow_turan(g, 2) is not None
 
     def test_sits_at_extremal_threshold(self):
@@ -101,7 +100,7 @@ class TestLexicographic:
 
     def test_n2(self):
         g = lexicographic(2)
-        assert counts(g) == (1, 1) and g.color_of(1, 2) == 1
+        assert (g.e, g.c) == (1, 1) and g.color_of(1, 2) == 1
 
     def test_detectors_all_absent(self):
         for n in range(3, 11):
@@ -120,7 +119,7 @@ class TestLexicographic:
     def test_counts_formula(self):
         for n in range(2, 11):
             g = lexicographic(n)
-            assert counts(g) == (n * (n - 1) // 2, n - 1)
+            assert (g.e, g.c) == (n * (n - 1) // 2, n - 1)
             assert g.e + g.c == n * (n + 1) // 2 - 1
 
     def test_too_small(self):
@@ -131,13 +130,13 @@ class TestLexicographic:
 class TestK6Variant:
     def test_turan_pair(self):
         g = k6_variant("turan-pair")
-        assert counts(g) == (15, 10)
+        assert (g.e, g.c) == (15, 10)
         assert find_rainbow_clique(g, 4) is None
         assert find_rainbow_turan(g, 2) is not None
 
     def test_mono_c6(self):
         g = k6_variant("mono-c6")
-        assert counts(g) == (15, 10)
+        assert (g.e, g.c) == (15, 10)
         assert find_rainbow_clique(g, 4) is None
         assert find_monochromatic_cycle(g, 6) is not None
         assert find_rainbow_turan(g, 2) is None
@@ -150,7 +149,7 @@ class TestK6Variant:
 class TestCounterexampleN7:
     def test_counts(self):
         g = counterexample_n7()
-        assert counts(g) == (20, 14)
+        assert (g.e, g.c) == (20, 14)
         assert g.e + g.c == 34
 
     def test_not_complete(self):
@@ -164,7 +163,7 @@ class TestCounterexampleN7:
         prof = saturation(g)
         for v in (6, 7):
             assert g.degree(v) == 5 and prof.ds[v] == 5
-        assert not g.has_edge(6, 7)
+        assert g.color_of(6, 7) is None
 
 
 class TestPerturbFreshColors:

@@ -5,7 +5,6 @@ import pytest
 from rainbow_cliques import (
     ColoredGraph,
     ECGParseError,
-    counts,
     delete_vertex,
     format_ecg,
     induced_subgraph,
@@ -27,12 +26,12 @@ def rainbow_k4() -> ColoredGraph:
 class TestParse:
     def test_smallest_rainbow_triangle(self):
         g = parse_ecg("3 3\n1 2 1\n1 3 2\n2 3 3")
-        assert counts(g) == (3, 3)
+        assert (g.e, g.c) == (3, 3)
         assert g.color_of(2, 3) == 3
 
     def test_single_edge(self):
         g = parse_ecg("2 1\n1 2 5")
-        assert counts(g) == (1, 1)
+        assert (g.e, g.c) == (1, 1)
 
     def test_duplicate_edge_names_line(self):
         with pytest.raises(ECGParseError, match="line 3"):
@@ -64,7 +63,7 @@ class TestParse:
 
     def test_comments_blanks_crlf(self):
         g = parse_ecg("# a comment\r\n\r\n3 2\r\n1 2 1\r\n\r\n# another\r\n2 3 4\r\n")
-        assert counts(g) == (2, 2)
+        assert (g.e, g.c) == (2, 2)
 
     def test_empty_document(self):
         with pytest.raises(ECGParseError):
@@ -188,11 +187,12 @@ class TestFormat:
 
 class TestCounts:
     def test_rainbow_k4(self):
-        assert counts(rainbow_k4()) == (6, 6)
+        g = rainbow_k4()
+        assert (g.e, g.c) == (6, 6)
 
     def test_extremal_anchors(self):
-        assert counts(extremal(8, 4)) == (28, 17)
-        assert counts(extremal(9, 5)) == (36, 28)
+        for g, ec in ((extremal(8, 4), (28, 17)), (extremal(9, 5), (36, 28))):
+            assert (g.e, g.c) == ec
 
 
 class TestInducedSubgraph:
@@ -214,7 +214,7 @@ class TestInducedSubgraph:
     def test_extremal_part_is_monochromatic(self):
         # first part of extremal(8,4) is vertices 1..4
         sub = induced_subgraph(extremal(8, 4), [1, 2, 3, 4])
-        assert counts(sub) == (6, 1)
+        assert (sub.e, sub.c) == (6, 1)
 
     def test_counts_never_increase(self):
         rng = random.Random(11)
@@ -306,7 +306,7 @@ class TestImmutability:
         g = ColoredGraph(3, colors)
         colors[(1, 3)] = 3
         colors[(1, 2)] = 5
-        assert g.e == 2 and g.color_of(1, 2) == 1 and not g.has_edge(1, 3)
+        assert g.e == 2 and g.color_of(1, 2) == 1 and g.color_of(1, 3) is None
 
 
 class TestIsComplete:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from dataclasses import replace
 from itertools import combinations
@@ -472,6 +473,21 @@ class TestFindersAgainstOracles:
             assert hit is None or validate_witness(g, hit)
             outcomes.add(hit is None)
         assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("r, hits, digest", [
+        (2, 55, "2aea099a2d2df6776ea9e2c4efae69afc15eeb42e900c5c323c0c3774f66d46c"),
+        (3, 35, "d5e219b8ef6e7705f947a59d525c94a98ac6acd615f72115e2862a60cd0cbb0e"),
+    ])
+    def test_rainbow_turan_witness_choice(self, r, hits, digest):
+        # which balanced partition comes back first, frozen; the complete
+        # colorings from a palette of n^2 colors hit past the first partition
+        rng = random.Random(67)
+        graphs = list(small_graphs(61, 80, max_n=7))
+        graphs += [extremal(n, r + 2) for n in range(r + 2, 10)]
+        graphs += [random_complete_colored_graph(rng, n, n * n) for n in range(4, 9) for _ in range(8)]
+        found = [find_rainbow_turan(g, r) for g in graphs if r <= g.n]
+        assert sum(w is not None for w in found) == hits
+        assert hashlib.sha256(repr(found).encode()).hexdigest() == digest
 
 
 class TestWitnessValidation:

@@ -2,7 +2,6 @@ import pytest
 
 from rainbow_cliques import (
     thresholds,
-    turan_increment,
     turan_number,
     turan_partition,
 )
@@ -39,19 +38,21 @@ class TestTuranNumber:
 
 
 class TestTuranIncrement:
-    def test_consistency_with_oracle(self):
+    """t_{n+1,k} - t_{n,k} = n - floor(n/k): the vertex added to a smallest
+    part meets every vertex outside it."""
+
+    def test_identity(self):
         for k in range(1, 11):
             for n in range(0, 201):
-                assert turan_number(n + 1, k) == turan_number(n, k) + turan_increment(n, k)
+                assert turan_number(n + 1, k) - turan_number(n, k) == n - n // k
 
     def test_anchors(self):
-        assert turan_increment(8, 2) == 4
-        assert turan_increment(8, 2) == turan_number(9, 2) - turan_number(8, 2) == 20 - 16
-        assert turan_increment(9, 3) == turan_number(10, 3) - turan_number(9, 3) == 6
+        assert turan_number(9, 2) - turan_number(8, 2) == 20 - 16 == 4
+        assert turan_number(10, 3) - turan_number(9, 3) == 6
 
     def test_complete_to_next(self):
         for k in range(2, 12):
-            assert turan_increment(k, k) == k - 1
+            assert turan_number(k + 1, k) - turan_number(k, k) == k - 1
 
     def test_divisibility_identity(self):
         # when (k-2) | n: n * (t_{n,k-2} - t_{n-1,k-2}) = 2 * t_{n,k-2}

@@ -338,11 +338,11 @@ class TestFalsifyTwoCliques:
     def test_lowered_threshold_yields_checked_counterexamples(self, monkeypatch):
         # three below the theorem's threshold one rainbow K_6 is possible,
         # so a falsifier that reads the colorings correctly must find some
-        from rainbow_cliques.turan import turan_number
-        monkeypatch.setattr(verify, "turan_number", lambda n, r: turan_number(n, r) - 3)
+        from rainbow_cliques.turan import thresholds
+        monkeypatch.setattr(verify, "thresholds", lambda n, k: tuple(t - 3 for t in thresholds(n, k)))
         report = falsify_two_cliques(6, 8, 2000, seed=1)
         assert len(report.counterexamples) > 0
-        target = comb(8, 2) + turan_number(8, 4) - 3 + 2
+        target = thresholds(8, 6)[1] - 3
         for g in report.counterexamples:
             assert g.e == comb(8, 2)
             assert g.e + g.c >= target
