@@ -70,19 +70,29 @@ _LEMMAS = {
     "k8-reduction": ((), lambda a: verify_k8_reduction()),
     "k9-reduction": ((), lambda a: verify_k9_reduction()),
     "tightness": (("n", "k"), lambda a: verify_tightness(a.n, a.k)),
-    "two-cliques": (("n", "k"), lambda a: falsify_two_cliques(a.k, a.n, a.trials, a.seed)),
+    "two-cliques": (
+        ("n", "k", "seed", "trials"), lambda a: falsify_two_cliques(a.k, a.n, a.trials, a.seed)
+    ),
 }
+
+# flags that a choice may leave out, with the value it then gets
+_DEFAULTS = {"trials": 10000, "seed": 1}
 
 
 def _require(command: str, table: dict, choice: str, args):
-    """table[choice]'s call, once its flags are set and no other entry's is."""
-    needed, call = table[choice]
+    """table[choice]'s call, once its flags are set, or defaulted, and no
+    other entry's is."""
+    taken, call = table[choice]
+    needed = [name for name in taken if name not in _DEFAULTS]
     if any(getattr(args, name) is None for name in needed):
         flags = " and ".join(f"--{name}" for name in needed)
         raise UsageError(f"{command} {choice} requires {flags}")
     for name in (name for other, _ in table.values() for name in other):
-        if name not in needed and getattr(args, name) is not None:
+        if name not in taken and getattr(args, name) is not None:
             raise UsageError(f"{command} {choice} does not take --{name}")
+    for name in taken:
+        if getattr(args, name) is None:
+            setattr(args, name, _DEFAULTS[name])
     return call
 
 
@@ -121,8 +131,8 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("lemma", choices=list(_LEMMAS))
     v.add_argument("--n", type=int)
     v.add_argument("--k", type=int)
-    v.add_argument("--trials", type=int, default=10000)
-    v.add_argument("--seed", type=int, default=1)
+    v.add_argument("--trials", type=int)
+    v.add_argument("--seed", type=int)
     v.add_argument("--out")
 
     s = sub.add_parser("supersat", help="supersaturation counting experiment")

@@ -18,8 +18,9 @@ from itertools import combinations
 
 @lru_cache(maxsize=None)
 def _count_table(m: int, lo: int, hi: int) -> tuple[tuple[int, ...], ...]:
-    """Row j, column b <= min(hi, m - j): completions(j, b, lo, hi).  The
-    next position joins one of the b blocks or opens block b + 1."""
+    """Row j, column b <= min(hi, m - j): the number of ways to fill j more
+    positions of an RGS that has b blocks so far and end with lo..hi blocks.
+    The next position joins one of the b blocks or opens block b + 1."""
     rows = [tuple(int(lo <= b) for b in range(min(hi, m) + 1))]
     for j in range(1, m + 1):
         row = rows[-1] + (0,)  # no completion passes hi blocks
@@ -27,18 +28,18 @@ def _count_table(m: int, lo: int, hi: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def completions(m_left: int, blocks: int, lo: int, hi: int) -> int:
-    """Number of RGS completions of m_left more positions, starting from
-    `blocks` blocks, that end with between lo and hi blocks."""
-    if min(m_left, blocks) < 0:
-        raise ValueError(f"need m_left, blocks >= 0, got {m_left}, {blocks}")
-    return _count_table(m_left + blocks, lo, hi)[m_left][blocks] if blocks <= hi else 0
+def completions(m: int, lo: int, hi: int) -> int:
+    """Number of RGS of length m with between lo and hi blocks: the sum of
+    S(m, r) over r = lo..hi."""
+    if m < 0:
+        raise ValueError(f"need m >= 0, got m={m}")
+    return _count_table(m, lo, hi)[m][0] if hi >= 0 else 0
 
 
 def stirling2(m: int, r: int) -> int:
     """Stirling number of the second kind S(m, r): set partitions of m
     elements into exactly r blocks."""
-    return completions(m, 0, r, r)
+    return completions(m, r, r)
 
 
 def rainbow_pruned_partitions(
@@ -48,27 +49,27 @@ def rainbow_pruned_partitions(
     tuple of element indices in `cuts` is rainbow (its elements lie in
     pairwise distinct blocks).
 
-    Call a cut broken once two of its assigned elements share a block: it
-    can no longer end rainbow.  The broken cuts are kept as a bit mask,
-    passed down the recursion: assigning position p to a used block breaks
-    every cut that holds p and an element already in that block, and
-    opening a new block breaks none.  A cut is rainbow once its last
-    element is assigned and it is unbroken, and that subtree is skipped.  So
-    at every node that is visited each finished cut is broken, and the
-    unbroken cuts are exactly the open ones: those that end rainbow unless
-    one of their unassigned positions reuses a block, i.e. joins a block
-    opened at an earlier position.  Reaching lo blocks needs lo - blocks of
-    the remaining positions to open new blocks, which leaves at most r
-    reuses.  So a node is skipped when r = 0 and some cut is unbroken.  At
-    r = 1 the one reuse p breaks an open cut exactly when p is one of its
-    unassigned positions and joins a block its assigned elements hold, or
-    the block that one of its earlier unassigned positions opened.  So a
-    node is skipped when r = 1 and the open cuts share no unassigned
-    position, or share exactly one and no block held by all of them (a cut
-    with no assigned element holds none).  Both rules are exact: a node
-    with r <= 1 that is not skipped has a surviving completion.  Cuts that
-    repeat an index are never rainbow and are dropped first.  A cut that is
-    empty or has an index outside 0..m-1 raises ValueError.
+    Cut c is the bit 1 << c.  Each block keeps one mask: the cuts that hold
+    an element already in it.  Call a cut broken once two of its assigned
+    elements share a block: it can no longer end rainbow.  The broken cuts
+    are a mask too, passed down the recursion: assigning position p to block
+    b breaks the cuts that hold p and are in b's mask, so opening a new block
+    breaks none.  A cut is rainbow once its last element is assigned and it
+    is unbroken, and that subtree is skipped.  So at every node that is
+    visited each finished cut is broken, and the unbroken cuts are exactly
+    the open ones: those that end rainbow unless one of their unassigned
+    positions reuses a block, i.e. joins a block opened at an earlier
+    position.  Reaching lo blocks needs lo - blocks of the remaining
+    positions to open new blocks, which leaves at most r reuses.  So a node
+    is skipped when r = 0 and some cut is unbroken.  At r = 1 the one reuse p
+    breaks an open cut exactly when p is one of its unassigned positions and
+    joins a block that holds one of its elements, or the block that one of
+    its earlier unassigned positions opened.  So a node is skipped when r = 1
+    and the open cuts share no unassigned position, or share exactly one and
+    no block's mask holds every open cut.  Both rules are exact: a node with
+    r <= 1 that is not skipped has a surviving completion.  Cuts that repeat
+    an index are never rainbow and are dropped first.  A cut that is empty
+    or has an index outside 0..m-1 raises ValueError.
 
     Returns the surviving RGS, in lexicographic order, and the exact number
     of RGS in the skipped subtrees, so survivors + skipped is the sum of
@@ -82,21 +83,20 @@ def rainbow_pruned_partitions(
     if max(lo, 0) > min(hi, m):
         return [], 0
     # a cut that repeats an index is never rainbow
-    cuts = [sorted(ids) for ids in cuts if len(set(ids)) == len(ids)]
-    # cut c is the bit 1 << c.  pair[p][q] (q < p): the cuts that hold both
-    # p and q; finish[p]: the cuts whose last index is p
-    pair = [[0] * m for _ in range(m)]
+    cuts = [ids for ids in cuts if len(set(ids)) == len(ids)]
+    # at[p]: the cuts that hold p; finish[p]: the cuts whose last index is p
+    at = [0] * m
     finish = [0] * m
     for c, ids in enumerate(cuts):
-        finish[ids[-1]] |= 1 << c
-        for q, p in combinations(ids, 2):
-            pair[p][q] |= 1 << c
+        finish[max(ids)] |= 1 << c
+        for i in ids:
+            at[i] |= 1 << c
     masks = [sum(1 << i for i in ids) for ids in cuts]
     every = (1 << len(cuts)) - 1
     counts = _count_table(m, lo, hi)
     rgs = [0] * m
-    # the positions in each block; a block not yet opened has none
-    members: list[list[int]] = [[] for _ in range(min(hi, m))]
+    # held[b]: the cuts that hold an element in block b; none before it opens
+    held = [0] * min(hi, m)
     survivors: list[tuple[int, ...]] = []
     skipped = 0
     # broken -> the AND of the unbroken cuts' index masks
@@ -125,21 +125,9 @@ def rainbow_pruned_partitions(
             # the later of two shared positions can join the block the
             # earlier one opened
             return False
-        # p is the only shared position: it must join a block every open
-        # cut holds
-        held = -1
-        while unbroken:
-            low = unbroken & -unbroken
-            h = 0
-            for i in cuts[low.bit_length() - 1]:
-                if i >= pos:
-                    break
-                h |= 1 << rgs[i]
-            held &= h
-            if not held:
-                return True
-            unbroken ^= low
-        return False
+        # p is the only shared position: it must join a block that holds
+        # every open cut
+        return all(unbroken & ~h for h in held)
 
     # every node keeps blocks + (m - pos) >= lo, so lo stays reachable
     def rec(pos: int, blocks: int, broken: int) -> None:
@@ -148,28 +136,27 @@ def rainbow_pruned_partitions(
             survivors.append(tuple(rgs))
             return
         done = finish[pos]
-        pairs = pair[pos]
+        here = at[pos]
         left = m - pos - 1
         sizes = counts[left]
         # once the used blocks alone cannot reach lo, only a new block can
         start = blocks if blocks + left < lo else 0
         for b in range(start, min(blocks + 1, hi)):
             new_blocks = blocks if b < blocks else blocks + 1
-            now = broken
-            for q in members[b]:
-                now |= pairs[q]
+            was = held[b]
+            now = broken | was & here
             if done & ~now:
                 # a cut finished here unbroken, so rainbow
                 skipped += sizes[new_blocks]
                 continue
             rgs[pos] = b
+            held[b] = was | here
             reuses = left - max(lo - new_blocks, 0)
             if reuses <= 1 and left and doomed(pos + 1, reuses, now):
                 skipped += sizes[new_blocks]
-                continue
-            members[b].append(pos)
-            rec(pos + 1, new_blocks, now)
-            members[b].pop()
+            else:
+                rec(pos + 1, new_blocks, now)
+            held[b] = was
 
     rec(0, 0, 0)
     del rec  # the closure names itself: a cycle that would keep the tables

@@ -419,16 +419,17 @@ def find_properly_colored_c4(g: ColoredGraph) -> Witness | None:
 
 
 def validate_witness(g: ColoredGraph, w: Witness) -> bool:
-    """Re-check a witness against its host graph: its edges are exactly the
-    pattern's edges on `vertices`, each with its color in g, and the colors
-    satisfy the predicate of `kind`.  A multipartite witness is split into
-    parts by `w.parts` (all 1 for a clique, two parts for a bipartite one,
-    the balanced sizes of len(w.parts) parts on all of V(G) for a Turan one),
-    so the expected edges never come from the edges being checked."""
+    """Re-check a witness against its host graph: `vertices` are distinct
+    vertices of g, its edges are exactly the pattern's edges on them, each an
+    edge of g with its color in g, and the colors satisfy the predicate of
+    `kind`.  A multipartite witness is split into parts by `w.parts` (all 1
+    for a clique, two parts for a bipartite one, the balanced sizes of
+    len(w.parts) parts on all of V(G) for a Turan one), so the expected
+    edges never come from the edges being checked."""
     verts, parts = w.vertices, w.parts
-    if not verts or len(set(verts)) != len(verts):
+    if not verts or len(set(verts)) != len(verts) or not all(1 <= v <= g.n for v in verts):
         return False
-    if any(g.color_of(u, v) != c for u, v, c in w.edges):
+    if any(c is None or g.color_of(u, v) != c for u, v, c in w.edges):
         return False
     if w.kind in ("rainbow-clique", "rainbow-bipartite", "rainbow-turan"):
         if sum(parts) != len(verts) or min(parts) < 1:

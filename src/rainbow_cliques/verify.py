@@ -155,18 +155,18 @@ def verify_triangle_threshold(n: int) -> VerificationReport:
         lo = max(threshold - m, 0)
         if lo > m:
             # e + c <= 2m < threshold: every coloring lies below it, none is built
-            space += completions(m, 0, 0, m)
+            space += completions(m, 0, m)
             continue
         edges = [all_edges[i] for i in range(len(all_edges)) if subset_mask >> i & 1]
         graphs, skipped = _colorings_without_rainbow(n, edges, 3, lo, m)
-        space += completions(m, 0, 0, lo - 1) + skipped + len(graphs)
+        space += completions(m, 0, lo - 1) + skipped + len(graphs)
         ces.extend(graphs)
     report = VerificationReport(
         f"triangle-n{n}", space, ces, time.perf_counter() - t0
     )
     # Bell(m) summed over the edge subsets is Bell(C(n,2)+1)
     top = comb(n, 2) + 1
-    if report.space_size != completions(top, 0, 0, top):
+    if report.space_size != completions(top, 0, top):
         raise RuntimeError("partition accounting mismatch")
     return report
 

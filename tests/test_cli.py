@@ -2,7 +2,7 @@ from math import ceil, comb
 
 import pytest
 
-from rainbow_cliques import count_rainbow_cliques, extremal, perturb_fresh_colors, verify
+from rainbow_cliques import cli, count_rainbow_cliques, extremal, perturb_fresh_colors, verify
 from rainbow_cliques.cli import run
 from oracles import count_rainbow_cliques_naive
 
@@ -85,6 +85,21 @@ def test_verify_tightness_from_n_equals_k_reports_ce_0(n, k, capsys):
 
 def test_two_cliques_range_error(capsys):
     assert run(["verify", "two-cliques", "--n", "9", "--k", "5", "--trials", "1"]) == 2
+
+
+@pytest.mark.parametrize("flags, trials, seed", [
+    ([], 10000, 1), (["--trials", "7", "--seed", "5"], 7, 5), (["--seed", "0"], 10000, 0),
+])
+def test_two_cliques_trials_and_seed(flags, trials, seed, monkeypatch, capsys):
+    calls = []
+
+    def falsify(k, n, trials, seed):
+        calls.append((k, n, trials, seed))
+        return verify.VerificationReport("two-cliques", trials)
+
+    monkeypatch.setattr(cli, "falsify_two_cliques", falsify)
+    assert run(["verify", "two-cliques", "--n", "8", "--k", "6", *flags]) == 0
+    assert calls == [(6, 8, trials, seed)]
 
 
 def test_two_cliques_zero_trials_exit_2(capsys):
@@ -183,6 +198,12 @@ def test_usage_error_exit_2(capsys):
         # a flag that another choice of the same subcommand takes
         (["verify", "triangle-n5", "--n", "4"], "verify triangle-n5 does not take --n"),
         (["verify", "k6-dichotomy", "--k", "5"], "verify k6-dichotomy does not take --k"),
+        (["verify", "triangle-n3", "--seed", "5", "--trials", "3"],
+         "verify triangle-n3 does not take --seed"),
+        (["verify", "triangle-n3", "--trials", "3"], "verify triangle-n3 does not take --trials"),
+        (["verify", "k6-dichotomy", "--trials", "3"], "verify k6-dichotomy does not take --trials"),
+        (["verify", "tightness", "--n", "8", "--k", "4", "--seed", "2"],
+         "verify tightness does not take --seed"),
         (["construct", "lexicographic", "--n", "8", "--k", "4"],
          "construct lexicographic does not take --k"),
         (["construct", "extremal", "--n", "8", "--k", "4", "--which", "mono-c6"],

@@ -6,7 +6,7 @@ from types import CodeType
 
 import pytest
 
-from rainbow_cliques import stirling2
+from rainbow_cliques import stirling2, thresholds, verify
 from rainbow_cliques.partitions import completions, rainbow_pruned_partitions
 from oracles import bell, blocks_of
 
@@ -55,10 +55,10 @@ class TestStirling:
         assert stirling2(1500, 2) == 2**1499 - 1
 
     def test_negative_counts_are_rejected(self):
-        with pytest.raises(ValueError, match="m_left, blocks >= 0"):
+        with pytest.raises(ValueError, match="m >= 0"):
             stirling2(-1, 0)
-        with pytest.raises(ValueError, match="m_left, blocks >= 0"):
-            completions(3, -1, 0, 3)
+        with pytest.raises(ValueError, match="m >= 0"):
+            completions(-1, 0, 3)
 
     def test_bell(self):
         assert [bell(m) for m in range(8)] == [1, 1, 2, 5, 15, 52, 203, 877]
@@ -68,7 +68,7 @@ class TestStirling:
             for lo in range(0, m + 2):
                 for hi in range(lo, m + 2):
                     expect = sum(stirling2(m, r) for r in range(lo, hi + 1))
-                    assert completions(m, 0, lo, hi) == expect
+                    assert completions(m, lo, hi) == expect
 
 
 class TestCursor:
@@ -214,7 +214,8 @@ class TestPruningNodeCount:
     amount of pruning is pinned by the nodes the recursion visits."""
 
     @staticmethod
-    def nodes(m, lo, hi, cuts):
+    def counted(run):
+        """The number of calls of `rec` while run() runs, and its result."""
         rec = next(
             c for c in rainbow_pruned_partitions.__code__.co_consts
             if isinstance(c, CodeType) and c.co_name == "rec"
@@ -229,10 +230,13 @@ class TestPruningNodeCount:
         old = sys.gettrace()
         sys.settrace(tracer)
         try:
-            result = rainbow_pruned_partitions(m, lo, hi, cuts)
+            result = run()
         finally:
             sys.settrace(old)
         return calls, result
+
+    def nodes(self, m, lo, hi, cuts):
+        return self.counted(lambda: rainbow_pruned_partitions(m, lo, hi, cuts))
 
     def test_k6_dichotomy_visits_10013_nodes(self):
         # the K6 verifier's call: the 15 edges of K6 (ordered by larger,
@@ -247,6 +251,21 @@ class TestPruningNodeCount:
         calls, (survivors, skipped) = self.nodes(15, 10, 10, cuts)
         assert (len(survivors), skipped) == (70, 12662580)
         assert calls == 10013
+
+    @pytest.mark.parametrize("lower, visits, ces", [
+        pytest.param(0, (1, 10, 374), (0, 0, 0), id="at-the-threshold"),
+        pytest.param(1, (7, 50, 1478), (3, 15, 105), id="threshold-lowered-by-one"),
+    ])
+    def test_triangle_verifier_nodes(self, lower, visits, ces, monkeypatch):
+        # summed over the verifier's calls, one per edge subset of K_n for
+        # n = 3, 4, 5; one below the threshold colorings without a rainbow
+        # triangle survive
+        monkeypatch.setattr(
+            verify, "thresholds", lambda n, k: tuple(t - lower for t in thresholds(n, k))
+        )
+        found = [self.counted(lambda: verify.verify_triangle_threshold(n)) for n in (3, 4, 5)]
+        assert [calls for calls, _ in found] == list(visits)
+        assert [len(report.counterexamples) for _, report in found] == list(ces)
 
     def test_one_reuse_rule_skips_the_only_child_of_the_root(self):
         # lo = m - 1 leaves one reuse below the root's child 0; the open cuts

@@ -574,6 +574,35 @@ class TestWitnessValidation:
         assert validate_witness(g, good)
         assert not validate_witness(g, replace(good, **change))
 
+    @pytest.mark.parametrize("g, w", [
+        pytest.param(
+            ColoredGraph(4, {}), Witness("mono-path", (1, 2, 3), ((1, 2, None), (2, 3, None))),
+            id="mono-path-on-no-edges",
+        ),
+        pytest.param(
+            ColoredGraph(4, {}),
+            Witness("mono-cycle", (1, 2, 3), ((1, 2, None), (2, 3, None), (1, 3, None))),
+            id="mono-cycle-on-no-edges",
+        ),
+        pytest.param(
+            ColoredGraph(3, {(1, 2): 1}), Witness("rainbow-clique", (1, 3), ((1, 3, None),), (1, 1)),
+            id="rainbow-k2-on-a-non-edge",
+        ),
+        pytest.param(
+            ColoredGraph(3, {(1, 2): 1}),
+            Witness("rainbow-bipartite", (1, 3), ((1, 3, None),), (1, 1)),
+            id="rainbow-k11-on-a-non-edge",
+        ),
+        pytest.param(
+            ColoredGraph(3, {(1, 2): 1}), Witness("rainbow-clique", (99,), (), (1,)),
+            id="clique-on-a-vertex-outside-the-graph",
+        ),
+    ])
+    def test_pattern_off_the_graph_rejected(self, g, w):
+        # a missing edge reads as color None on both sides, and {None} passes
+        # both the rainbow and the monochromatic color test
+        assert not validate_witness(g, w)
+
     def test_proper_c4_edges_off_the_cycle_rejected(self):
         g = rainbow_complete(5)
         # edges of the cycle 1-2-3-5, listed for the vertices 1, 2, 3, 4
