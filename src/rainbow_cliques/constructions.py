@@ -88,25 +88,35 @@ def _recolor_fresh(colors: list[int], target_ec: int, rng: random.Random) -> lis
     """Recolor uniformly random edges of monochromatic classes of `colors`,
     one color per edge, in place, drawing from `rng`, each with a fresh
     distinct color, until e+c >= target_ec.  Needs target_ec <= 2e.
-    Returns the indices recolored, in order."""
-    recolored = []
+    Returns the indices recolored, in order.
+
+    Each index is drawn as ``rng.randrange(m)`` draws it on CPython: m's
+    bit length of `getrandbits`, redrawn until below m.  That keeps every
+    seeded output while skipping randrange's checks, most of a draw's cost."""
+    # past 2e the candidates run out, and a draw from none would never end
+    if target_ec > 2 * len(colors):
+        raise ValueError(f"target e+c={target_ec} unreachable, maximum is {2 * len(colors)}")
     class_size = Counter(colors)
-    ec = len(colors) + len(class_size)
-    next_color = max(class_size) + 1
+    top = max(class_size)
+    getrandbits = rng.getrandbits
+    recolored = []
     # the indices, in order, of the edges in classes of two or more: classes
     # only shrink and fresh classes stay singletons, so only the last edge of
     # a class that falls to one has to leave
     candidates = [i for i, c in enumerate(colors) if class_size[c] >= 2]
-    while ec < target_ec:
-        i = candidates.pop(rng.randrange(len(candidates)))
+    for fresh in range(top + 1, top + 1 + target_ec - len(colors) - len(class_size)):
+        m = len(candidates)
+        bits = m.bit_length()
+        r = getrandbits(bits)
+        while r >= m:
+            r = getrandbits(bits)
+        i = candidates.pop(r)
         recolored.append(i)
         old = colors[i]
-        colors[i] = next_color
+        colors[i] = fresh
         class_size[old] -= 1
         if class_size[old] == 1:
             del candidates[bisect_left(candidates, colors.index(old))]
-        next_color += 1
-        ec += 1
     return recolored
 
 

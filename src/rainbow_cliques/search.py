@@ -99,7 +99,11 @@ def _rainbow_cliques(
     least 1) are found.  The graph on 1..n is given by its adjacency masks
     and color matrix, as `ColoredGraph.adj` and `.color_matrix` hold them.
     Returns the count and, if the search stopped at `limit`, the clique it
-    stopped at (so the first one for limit=1)."""
+    stopped at (so the first one for limit=1).
+
+    The clique grows in increasing order, so a candidate v is checked
+    against members u < v only: the search reads cm[v][u] with u < v and
+    never the upper triangle, which a caller may leave stale."""
     if k < 1:
         raise ValueError(f"clique size must be positive, got k={k}")
     if limit < 1:
@@ -111,31 +115,33 @@ def _rainbow_cliques(
         # on reaching the budget, returns without undoing `clique`
         total = 0
         last = len(clique) == k - 1
-        for v in _iter_bits(cand):
+        # each round takes the lowest vertex v out of cand, which leaves the
+        # candidates above v
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
             row = cm[v]
             new = []
-            ok = True
             for u in clique:
                 col = row[u]
                 if col in used or col in new:
-                    ok = False
                     break
                 new.append(col)
-            if not ok:
-                continue
-            if last:
-                total += 1
+            else:
+                if last:
+                    total += 1
+                    if total == budget:
+                        clique.append(v)
+                        return total
+                    continue
+                used.update(new)
+                clique.append(v)
+                total += rec(clique, cand & adj[v], used, budget - total)
                 if total == budget:
-                    clique.append(v)
                     return total
-                continue
-            used.update(new)
-            clique.append(v)
-            total += rec(clique, cand & adj[v] & ~((1 << (v + 1)) - 1), used, budget - total)
-            if total == budget:
-                return total
-            clique.pop()
-            used.difference_update(new)
+                clique.pop()
+                used.difference_update(new)
         return total
 
     clique: list[int] = []
@@ -339,7 +345,11 @@ def _mono_walk(g: ColoredGraph, nverts: int, closed: bool) -> list[int] | None:
     edge has that color too and the first vertex is the smallest.  The
     reverse of a hit is a hit, so the first one found has its second vertex
     below its last (cycle) or its first endpoint below its last (path).
-    Past its first edge a walk reads N_c, which has no color on one edge."""
+    Past its first edge a walk reads N_c, which has no color on one edge.
+    So a walk on three or more vertices starts only on an edge whose color
+    is on two or more edges: the neighbours in the start's N_c masks, which are
+    disjoint, so their sum is their union.  A path on two vertices tries
+    every edge at its start, in the same increasing order."""
     cm = g.color_matrix
     at = _color_nbhds(g)
     path: list[int] = []
@@ -359,7 +369,8 @@ def _mono_walk(g: ColoredGraph, nverts: int, closed: bool) -> list[int] | None:
             # a cycle through a smaller vertex was tried from that vertex
             seen = (1 << (start + 1)) - 1 if closed else 1 << start
             path.append(start)
-            for v in _iter_bits(g.adj[start] & ~seen):
+            first = sum(at[start].values()) if nverts >= 3 else g.adj[start]
+            for v in _iter_bits(first & ~seen):
                 path.append(v)
                 if rec(v, seen | 1 << v, cm[start][v]):
                     return path

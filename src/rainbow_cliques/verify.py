@@ -374,8 +374,8 @@ def falsify_two_cliques(
     target - C(n,2) colors, in one call, and recolors edges of monochromatic
     classes fresh until e+c reaches the target.  The colors stay a flat list
     in `combinations` edge order: the search reads them through one color
-    matrix, rewritten in full each trial, and a ColoredGraph is built only
-    for a hit."""
+    matrix, whose lower triangle (all that it reads) is rewritten each
+    trial, and a ColoredGraph is built only for a hit."""
     if not (n > k >= 6 or (k == 5 and n >= 10)):
         raise ValueError(
             f"two-cliques theorem covers n > k >= 6 or k=5, n >= 10; got k={k}, n={n}"
@@ -390,14 +390,14 @@ def falsify_two_cliques(
     palette = range(1, target - e + 1)
     full = (1 << (n + 1)) - 2
     adj = [0] + [full ^ 1 << v for v in range(1, n + 1)]
-    # the host is K_n, so each trial writes every off-diagonal entry
+    # the host is K_n, so each trial writes every entry below the diagonal
     cm = [[0] * (n + 1) for _ in range(n + 1)]
     ces: list[ColoredGraph] = []
     for _ in range(trials):
         colors = rng.choices(palette, k=e)
         _recolor_fresh(colors, target, rng)
         for (u, v), c in zip(all_edges, colors):
-            cm[u][v] = cm[v][u] = c
+            cm[v][u] = c
         # stop at a second rainbow K_k: only exactly one is a counterexample
         if _rainbow_cliques(n, adj, cm, k, 2)[0] == 1:
             ces.append(ColoredGraph(n, dict(zip(all_edges, colors))))

@@ -1,5 +1,7 @@
 import random
+import sys
 from itertools import combinations
+from types import CodeType
 
 from rainbow_cliques import ColoredGraph
 
@@ -25,3 +27,26 @@ def random_complete_colored_graph(rng: random.Random, n: int, palette: int) -> C
         for u, v in combinations(range(1, n + 1), 2)
     }
     return ColoredGraph(n, colors)
+
+
+def count_inner_calls(outer, run):
+    """The number of calls of the closure `rec` defined in the function
+    `outer` while run() runs, and run()'s result."""
+    rec = next(
+        c for c in outer.__code__.co_consts
+        if isinstance(c, CodeType) and c.co_name == "rec"
+    )
+    calls = 0
+
+    def tracer(frame, event, arg):
+        nonlocal calls
+        if frame.f_code is rec:
+            calls += 1
+
+    old = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        result = run()
+    finally:
+        sys.settrace(old)
+    return calls, result

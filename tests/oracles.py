@@ -1,6 +1,8 @@
 """Brute-force reference oracles for the tests, independent of the search
 paths they check."""
 
+import random
+from bisect import bisect_left
 from collections import Counter
 from itertools import combinations, permutations, product
 
@@ -197,3 +199,25 @@ def labeled_regular_graphs_naive(n: int, d: int) -> list[int]:
         if all(x == d for x in deg):
             out.append(mask)
     return out
+
+
+def recolor_fresh_randrange(colors: list[int], target_ec: int, rng: random.Random) -> list[int]:
+    """The fresh-color recoloring drawn with `rng.randrange`, the reference
+    for the library's inlined draws: it counts e+c and the next fresh id
+    as it goes and returns the recolored indices, in order."""
+    recolored = []
+    class_size = Counter(colors)
+    ec = len(colors) + len(class_size)
+    next_color = max(class_size) + 1
+    candidates = [i for i, c in enumerate(colors) if class_size[c] >= 2]
+    while ec < target_ec:
+        i = candidates.pop(rng.randrange(len(candidates)))
+        recolored.append(i)
+        old = colors[i]
+        colors[i] = next_color
+        class_size[old] -= 1
+        if class_size[old] == 1:
+            del candidates[bisect_left(candidates, colors.index(old))]
+        next_color += 1
+        ec += 1
+    return recolored

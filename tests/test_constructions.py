@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 
@@ -19,6 +20,8 @@ from rainbow_cliques import (
     thresholds,
     turan_partition,
 )
+from rainbow_cliques.constructions import _recolor_fresh
+from oracles import recolor_fresh_randrange
 
 
 def extremal_part_ranges(n: int, k: int):
@@ -216,3 +219,32 @@ class TestPerturbFreshColors:
         assert {e: c for e, c in g.colors.items() if colors[e] != c} == {
             (2, 5): 8, (3, 5): 10, (3, 6): 11, (4, 6): 12, (5, 6): 9,
         }
+
+    @pytest.mark.parametrize("shape", ["one-class", "small-palette", "far-ids"])
+    def test_recoloring_matches_the_randrange_reference(self, shape):
+        # the same indices, the same colors and the same state of the
+        # stream after, so every seeded output built on it is kept
+        rng = random.Random(shape)
+        for _ in range(200):
+            e = rng.randint(1, 60)
+            if shape == "one-class":
+                colors = [rng.randint(1, 5)] * e
+            elif shape == "small-palette":
+                # classes of one to a few edges, many falling to one edge
+                colors = [rng.randint(1, max(1, e // 2)) for _ in range(e)]
+            else:
+                colors = [rng.randint(10**8, 10**8 + 3) for _ in range(e)]
+            target = rng.randint(e, 2 * e)
+            seed = rng.randrange(2**32)
+            ours, ref = list(colors), list(colors)
+            ours_rng, ref_rng = random.Random(seed), random.Random(seed)
+            assert _recolor_fresh(ours, target, ours_rng) == recolor_fresh_randrange(
+                ref, target, ref_rng
+            )
+            assert ours == ref
+            assert ours_rng.random() == ref_rng.random()
+
+    def test_recoloring_rejects_an_unreachable_target(self):
+        # past 2e no class of two edges is left to draw from
+        with pytest.raises(ValueError, match="unreachable"):
+            _recolor_fresh([1, 1, 2], 7, random.Random(0))

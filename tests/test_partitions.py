@@ -1,13 +1,12 @@
 import random
 import re
-import sys
 from itertools import combinations
-from types import CodeType
 
 import pytest
 
 from rainbow_cliques import stirling2, thresholds, verify
 from rainbow_cliques.partitions import completions, rainbow_pruned_partitions
+from conftest import count_inner_calls
 from oracles import bell, blocks_of
 
 
@@ -216,24 +215,7 @@ class TestPruningNodeCount:
     @staticmethod
     def counted(run):
         """The number of calls of `rec` while run() runs, and its result."""
-        rec = next(
-            c for c in rainbow_pruned_partitions.__code__.co_consts
-            if isinstance(c, CodeType) and c.co_name == "rec"
-        )
-        calls = 0
-
-        def tracer(frame, event, arg):
-            nonlocal calls
-            if frame.f_code is rec:
-                calls += 1
-
-        old = sys.gettrace()
-        sys.settrace(tracer)
-        try:
-            result = run()
-        finally:
-            sys.settrace(old)
-        return calls, result
+        return count_inner_calls(rainbow_pruned_partitions, run)
 
     def nodes(self, m, lo, hi, cuts):
         return self.counted(lambda: rainbow_pruned_partitions(m, lo, hi, cuts))

@@ -26,8 +26,8 @@ from rainbow_cliques import (
     validate_witness,
     Witness,
 )
-from rainbow_cliques.search import _rainbow_cliques
-from conftest import random_colored_graph, random_complete_colored_graph
+from rainbow_cliques.search import _mono_walk, _rainbow_cliques
+from conftest import count_inner_calls, random_colored_graph, random_complete_colored_graph
 from oracles import (
     count_rainbow_cliques_naive,
     count_rainbow_cliques_one_big_class,
@@ -266,10 +266,10 @@ class TestCountRainbowCliques:
         with pytest.raises(ValueError, match="limit must be positive"):
             _rainbow_cliques(g.n, g.adj, g.color_matrix, 3, 0)
 
-    def test_stop_at_two_matches_the_count(self):
-        # the falsifier's test: no, one, or at least two rainbow K_k
+    @staticmethod
+    def stop_test_graphs():
+        """150 seeded graphs on 1..10 vertices, from sparse to complete."""
         rng = random.Random(41)
-        seen = set()
         for _ in range(150):
             n = rng.randint(1, 10)
             p = rng.choice((0.6, 0.9, 1.0))
@@ -278,12 +278,31 @@ class TestCountRainbowCliques:
                 e: rng.randint(1, palette)
                 for e in combinations(range(1, n + 1), 2) if rng.random() < p
             }
-            g = ColoredGraph(n, colors)
+            yield ColoredGraph(n, colors)
+
+    def test_stop_at_two_matches_the_count(self):
+        # the falsifier's test: no, one, or at least two rainbow K_k
+        seen = set()
+        for g in self.stop_test_graphs():
             for k in range(1, 8):
                 want = min(count_rainbow_cliques(g, k), 2)
                 assert _rainbow_cliques(g.n, g.adj, g.color_matrix, k, 2)[0] == want
                 seen.add(want)
         assert seen == {0, 1, 2}
+
+    def test_limit_search_reads_only_the_lower_triangle(self):
+        # the falsifier writes only cm[v][u] for u < v, so junk above the
+        # diagonal must not change a count or a stop
+        for g in self.stop_test_graphs():
+            lower = [
+                [c if u < v else -1 for u, c in enumerate(row)]
+                for v, row in enumerate(g.color_matrix)
+            ]
+            for k in range(1, 8):
+                for limit in (1, 2, 5):
+                    assert _rainbow_cliques(g.n, g.adj, lower, k, limit) == _rainbow_cliques(
+                        g.n, g.adj, g.color_matrix, k, limit
+                    )
 
     def test_find_iff_count_positive(self):
         rng = random.Random(29)
@@ -389,6 +408,22 @@ class TestMonochromaticPath:
     def test_bad_size(self):
         with pytest.raises(ValueError):
             find_monochromatic_path(rainbow_complete(4), 1)
+
+
+class TestMonoWalkPruning:
+    """A walk on three or more vertices starts only on an edge whose color
+    is on another edge too, pinned by the calls of the walk's `rec`."""
+
+    def test_rainbow_k10_starts_no_walk(self):
+        # all 45 colors distinct: trying every first edge made 90 calls
+        # (path) and 45 (cycle, above the start only)
+        g = rainbow_complete(10)
+        assert count_inner_calls(_mono_walk, lambda: find_monochromatic_path(g, 4)) == (0, None)
+        assert count_inner_calls(_mono_walk, lambda: find_monochromatic_cycle(g, 4)) == (0, None)
+
+    def test_two_vertex_path_still_tries_every_edge(self):
+        w = find_monochromatic_path(rainbow_complete(10), 2)
+        assert w is not None and w.vertices == (1, 2)
 
 
 class TestProperC4:

@@ -341,12 +341,17 @@ class TestFalsifyTwoCliques:
         from rainbow_cliques.turan import thresholds
         monkeypatch.setattr(verify, "thresholds", lambda n, k: tuple(t - 3 for t in thresholds(n, k)))
         report = falsify_two_cliques(6, 8, 2000, seed=1)
-        assert len(report.counterexamples) > 0
         target = thresholds(8, 6)[1] - 3
         for g in report.counterexamples:
             assert g.e == comb(8, 2)
             assert g.e + g.c >= target
             assert count_rainbow_cliques(g, 6) == 1
+        # the seeded draws, so the sampler's stream is pinned too
+        assert len(report.counterexamples) == 179
+        text = "".join(map(format_ecg, report.counterexamples))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "f03fe50fb260965e0c3d854d31ee14f10e2dae1914f24ff4490df5404fd4d255"
+        )
 
     def test_builds_no_graph_without_a_hit(self, monkeypatch):
         built = []
