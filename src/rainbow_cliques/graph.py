@@ -60,6 +60,15 @@ def _edge_key(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+def _bad_edge(items, n: int):
+    """The first ((u, v), c) of `items` that is not an edge 1 <= u < v <= n
+    with a positive color, or None."""
+    for (u, v), c in items:
+        if not (1 <= u < v <= n) or c <= 0:
+            return (u, v), c
+    return None
+
+
 @dataclass(frozen=True, eq=False)
 class ColoredGraph:
     """Immutable edge-colored simple graph on vertices 1..n."""
@@ -71,15 +80,28 @@ class ColoredGraph:
         # a read-only view of a private copy, so the cached properties below
         # cannot go stale and validation cannot be skipped
         object.__setattr__(self, "colors", MappingProxyType(dict(self.colors)))
-        if not isinstance(self.n, int):
+        # a bool is an int, but ECG text cannot carry one
+        if type(self.n) is not int:
             raise TypeError(f"vertex count must be an int, got {self.n!r}")
         if self.n <= 0:
             raise ValueError(f"vertex count must be positive, got {self.n}")
-        for (u, v), c in self.colors.items():
+        try:
+            bad = _bad_edge(self.colors.items(), self.n)
+        except (TypeError, ValueError):
+            # a key that is not a pair, or an end or color that does not
+            # compare with an int: find the item one at a time, off the
+            # loop that every graph runs
+            for item in self.colors.items():
+                try:
+                    _bad_edge((item,), self.n)
+                except (TypeError, ValueError) as exc:
+                    raise type(exc)(f"bad edge item {item!r}: {exc}") from None
+            raise
+        if bad is not None:
+            (u, v), c = bad
             if not (1 <= u < v <= self.n):
                 raise ValueError(f"bad edge ({u},{v}) for n={self.n}")
-            if c <= 0:
-                raise ValueError(f"nonpositive color {c} on edge ({u},{v})")
+            raise ValueError(f"nonpositive color {c} on edge ({u},{v})")
 
     # -- basic accessors ---------------------------------------------------
 

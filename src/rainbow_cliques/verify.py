@@ -221,11 +221,13 @@ def _pair_bits(n: int) -> list[list[int]]:
     return bits
 
 
-def labeled_regular_graphs(n: int, d: int) -> array:
-    """Every labeled simple d-regular graph on vertices 1..n exactly once,
-    as an array of edge masks: bit i is the i-th pair of
-    combinations(range(1, n + 1), 2).  A mask fits a 64-bit "Q" word while
-    C(n, 2) <= 64, that is n <= 11; the reductions use n <= 9.
+def _regular_graphs(
+    n: int, d: int, subsets: tuple[tuple[tuple[int, int], ...], ...]
+) -> tuple[int, list[int]]:
+    """The number of labeled simple d-regular graphs on vertices 1..n, and
+    the edge masks of those in which every pair list in `subsets` holds at
+    least 2 edges (distinct pairs u < v), in enumeration order.  Bit i of a
+    mask is the i-th pair of combinations(range(1, n + 1), 2).
 
     Backtracking completes the smallest deficient vertex first, joining it
     only to later deficient vertices, so every edge has an end that is full
@@ -234,35 +236,73 @@ def labeled_regular_graphs(n: int, d: int) -> array:
     tuple of (vertex, residual degree) over its deficient vertices, and each
     state lists its completions once; the key keeps the vertex labels, since
     the edges a completion adds depend on them.  The graphs come in the
-    order of plain backtracking over combinations."""
+    order of plain backtracking over combinations.
+
+    A completion holds every edge of the final graph between two vertices
+    of its state, so a list whose vertices all lie in the state already has
+    its final edge count there, and a completion short of 2 on such a list
+    is dropped once, in the memo.  Each completion carries per-list counts
+    saturated at 2 as two bitmasks over the lists (bit i of `ones`: list i
+    holds at least one of its edges; of `twos`: at least two), which
+    compose by OR when a branch's edges are joined to a completion."""
     if n * d % 2 != 0 or d >= n:
-        return array("Q")
+        return 0, []
     bits = _pair_bits(n)
-    memo: dict[tuple[tuple[int, int], ...], array] = {(): array("Q", [0])}
+    holds = [[0] * (n + 1) for _ in range(n + 1)]  # holds[u][v]: the lists with uv
+    spans = []  # each list's vertices, as a vertex bitmask
+    for i, pairs in enumerate(subsets):
+        span = 0
+        for u, v in pairs:
+            holds[u][v] |= 1 << i
+            span |= 1 << u | 1 << v
+        spans.append(span)
+    inside: dict[int, int] = {}  # vertex bitmask -> the lists within it
+    # state -> (graph count, kept (mask, ones, twos) completions)
+    memo: dict[tuple[tuple[int, int], ...], tuple[int, list]] = {(): (1, [(0, 0, 0)])}
 
-    def branches(state):
-        # each way to complete state's first vertex: its edges, the next state
-        (u, need), rest = state[0], state[1:]
-        for chosen in combinations(range(len(rest)), need):
-            edges = 0
-            nxt = list(rest)
-            for i in chosen:
-                v, r = rest[i]
-                edges |= bits[u][v]
-                nxt[i] = (v, r - 1)
-            yield edges, tuple(s for s in nxt if s[1])
-
-    def listed(state) -> array:
+    def listed(state):
         got = memo.get(state)
         if got is None:
-            got = memo[state] = array(
-                "Q", [e | c for e, nxt in branches(state) for c in listed(nxt)]
-            )
+            vertices = sum(1 << v for v, _ in state)
+            within = inside.get(vertices)
+            if within is None:
+                within = inside[vertices] = sum(
+                    1 << i for i, span in enumerate(spans) if span & vertices == span
+                )
+            (u, need), rest = state[0], state[1:]
+            count, kept = 0, []
+            for chosen in combinations(range(len(rest)), need):
+                edges = oe = te = 0
+                nxt = list(rest)
+                for i in chosen:
+                    v, r = rest[i]
+                    edges |= bits[u][v]
+                    te |= oe & holds[u][v]
+                    oe |= holds[u][v]
+                    nxt[i] = (v, r - 1)
+                c, sub = listed(tuple(s for s in nxt if s[1]))
+                count += c
+                for g, ones, twos in sub:
+                    twos |= te | ones & oe
+                    if twos & within == within:
+                        kept.append((edges | g, ones | oe, twos))
+            got = memo[state] = count, kept
         return got
 
-    graphs = listed(tuple((v, d) for v in range(1, n + 1)) if d else ())
+    count, kept = listed(tuple((v, d) for v in range(1, n + 1)) if d else ())
     del listed  # it names itself, so the memo would outlive the call
-    return graphs
+    # the seeded empty state is never checked: test every list here
+    every = (1 << len(spans)) - 1
+    return count, [g for g, _, twos in kept if twos == every]
+
+
+def labeled_regular_graphs(n: int, d: int) -> array:
+    """Every labeled simple d-regular graph on vertices 1..n exactly once,
+    in the enumeration order of _regular_graphs, as an array of edge masks:
+    bit i is the i-th pair of combinations(range(1, n + 1), 2).  A mask fits
+    a 64-bit "Q" word while C(n, 2) <= 64, that is n <= 11; the reductions
+    use n <= 9."""
+    return array("Q", _regular_graphs(n, d, ())[1])
 
 
 def _mono_graph(edges: int, n: int) -> ColoredGraph:
@@ -272,29 +312,27 @@ def _mono_graph(edges: int, n: int) -> ColoredGraph:
 
 
 def _regular_reduction(lemma_id: str, n: int, d: int, size: int) -> VerificationReport:
-    """Enumerate all labeled d-regular graphs on 1..n as edge masks (see
-    labeled_regular_graphs); keep those in which every `size`-subset spans
-    >= 2 edges, dropping with each subset's edge mask the graphs it meets
-    in fewer; assert the kept graphs are exactly the disjoint unions of
-    K_{d+1}.  The clique unions are the edge masks of the partitions of the
-    vertices into q = n/(d+1) parts of size d+1.  The counterexamples are
-    each kept graph that is not a clique union, in enumeration order, then
-    each clique union the filter dropped, in partition order.  Only
-    counterexamples are unpacked from their masks."""
+    """Enumerate the labeled d-regular graphs on 1..n as edge masks, keeping
+    only those in which every `size`-subset of the subset table spans >= 2
+    edges (see _regular_graphs, which drops a partial graph's completions as
+    soon as a subset inside its deficient vertices spans fewer); assert the
+    kept graphs are exactly the disjoint unions of K_{d+1}.  SPACE counts
+    every regular graph.  The clique unions are the edge masks of the
+    partitions of the vertices into q = n/(d+1) parts of size d+1.  The
+    counterexamples are each kept graph that is not a clique union, in
+    enumeration order, then each clique union that was dropped, in
+    partition order.  Only counterexamples are unpacked from their masks."""
     t0 = time.perf_counter()
     bits = _pair_bits(n)
     unions = dict.fromkeys(
         sum(bits[u][v] for part in parts for u, v in combinations(part, 2))
         for parts in _balanced_partitions(n, (d + 1,) * (n // (d + 1)))
     )  # an ordered set: clique-union masks in partition order
-    kept = graphs = labeled_regular_graphs(n, d)
-    for pairs in _subset_pairs(n, size):
-        sub = sum(bits[u][v] for u, v in pairs)
-        kept = [g for g in kept if (g & sub).bit_count() > 1]
+    space, kept = _regular_graphs(n, d, _subset_pairs(n, size))
     found = set(kept)
     ces = [g for g in kept if g not in unions] + [g for g in unions if g not in found]
     return VerificationReport(
-        lemma_id, len(graphs), [_mono_graph(g, n) for g in ces], time.perf_counter() - t0
+        lemma_id, space, [_mono_graph(g, n) for g in ces], time.perf_counter() - t0
     )
 
 

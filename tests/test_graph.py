@@ -290,9 +290,23 @@ class TestConstruction:
         with pytest.raises(ValueError, match=f"^{message}$"):
             ColoredGraph(n, colors)
 
-    def test_rejects_a_vertex_count_that_is_not_an_int(self):
-        with pytest.raises(TypeError, match=r"^vertex count must be an int, got 2\.5$"):
-            ColoredGraph(2.5, {})
+    @pytest.mark.parametrize("n", [2.5, True])
+    def test_rejects_a_vertex_count_that_is_not_an_int(self, n):
+        with pytest.raises(TypeError, match=rf"^vertex count must be an int, got {n}$"):
+            ColoredGraph(n, {})
+
+    @pytest.mark.parametrize("colors, error, message", [
+        ({(1, 2, 3): 1}, ValueError,
+         r"bad edge item \(\(1, 2, 3\), 1\): too many values to unpack"),
+        ({(1, 2): 1, (2,): 4}, ValueError,
+         r"bad edge item \(\(2,\), 4\): not enough values to unpack"),
+        ({1: 1}, TypeError, r"bad edge item \(1, 1\): cannot unpack non-iterable int"),
+        ({(1, "2"): 1}, TypeError, r"bad edge item \(\(1, '2'\), 1\): '<' not supported"),
+        ({(1, 2): "x"}, TypeError, r"bad edge item \(\(1, 2\), 'x'\): '<=' not supported"),
+    ])
+    def test_names_an_item_that_does_not_unpack_or_compare(self, colors, error, message):
+        with pytest.raises(error, match=f"^{message}"):
+            ColoredGraph(3, colors)
 
 
 class TestImmutability:

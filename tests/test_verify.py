@@ -1,5 +1,6 @@
 import hashlib
 import os
+import random
 import subprocess
 import sys
 from itertools import combinations
@@ -30,7 +31,12 @@ from rainbow_cliques import (
     Witness,
 )
 from rainbow_cliques import verify
-from rainbow_cliques.verify import _pair_bits, _subset_pairs, labeled_regular_graphs
+from rainbow_cliques.verify import (
+    _pair_bits,
+    _regular_graphs,
+    _subset_pairs,
+    labeled_regular_graphs,
+)
 
 
 class TestSaturationSolutions:
@@ -136,6 +142,8 @@ class TestRegularGraphEnumeration:
     def test_labeled_counts(self, d, counts):
         for n, count in counts.items():
             assert sum(1 for _ in labeled_regular_graphs(n, d)) == count, n
+            # the count is of every regular graph, whatever the pair lists drop
+            assert _regular_graphs(n, d, _subset_pairs(n, d + 1))[0] == count, n
 
     @pytest.mark.parametrize("n, d, digest", [
         (8, 3, "6ddd6a664f75846b7c2d7f6566f73366d6c9bbf18fe1496dd19ce3f85629aa83"),
@@ -144,6 +152,93 @@ class TestRegularGraphEnumeration:
     def test_masks_and_their_order_are_frozen(self, n, d, digest):
         graphs = labeled_regular_graphs(n, d)
         assert graphs.typecode == "Q"
+        assert sha256(",".join(map(str, graphs))) == digest
+
+
+def pair_lists(n, rng):
+    """Pair lists on 1..n for the differential test: the fixed edge cases,
+    then seeded random lists that may repeat a pair."""
+    pairs = list(combinations(range(1, n + 1), 2))
+    path = tuple(zip(range(1, n), range(2, n + 1)))
+    yield ()
+    yield ((),)
+    yield (path,)  # spans all n vertices
+    yield (tuple(pairs), path[:2])
+    if pairs:
+        yield ((pairs[0], pairs[0]),)
+        yield ((pairs[0], pairs[-1], pairs[0]), (pairs[-1],) * 3)
+        for _ in range(6):
+            yield tuple(
+                tuple(rng.choices(pairs, k=rng.randint(1, 5)))
+                for _ in range(rng.randint(1, 4))
+            )
+
+
+def memo_at_return(run):
+    """The `memo` of the _regular_graphs call that run() makes, as it stands
+    when that call returns, and run()'s result."""
+    code = _regular_graphs.__code__
+    got = {}
+
+    def on_return(frame, event, arg):
+        if event == "return":
+            got["memo"] = frame.f_locals["memo"]
+        return on_return
+
+    def tracer(frame, event, arg):
+        return on_return if frame.f_code is code else None
+
+    old = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        result = run()
+    finally:
+        sys.settrace(old)
+    return got["memo"], result
+
+
+class TestRegularGraphFilter:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_keeps_the_graphs_every_list_holds_two_edges_of(self, n):
+        rng = random.Random(n)
+        bits = _pair_bits(n)
+        for d in range(n + 1):
+            graphs = labeled_regular_graphs(n, d)
+            for lists in pair_lists(n, rng):
+                masks = [0] * len(lists)
+                for i, pairs in enumerate(lists):
+                    for u, v in pairs:
+                        masks[i] |= bits[u][v]
+                expected = [
+                    g for g in graphs if all((g & m).bit_count() >= 2 for m in masks)
+                ]
+                assert _regular_graphs(n, d, lists) == (len(graphs), expected), (d, lists)
+
+    @pytest.mark.parametrize("n, d, size, completions, digest", [
+        pytest.param(
+            9, 2, 5, 9354, "f58d9de67578ad981158aab45688d76a218b5c63381d1a2da686c4a1d86544e8",
+            id="k9",
+        ),
+        pytest.param(
+            8, 3, 4, 2118, "5deebc44e1cb03801e7bc18aa9553f81462306603ac5091161389997b4305655",
+            id="k8",
+        ),
+        pytest.param(
+            9, 2, 0, 71346, "f1622dcb36e61394982bc56a6668c91de689be8487768ecf54090b31ad10ecd6",
+            id="k9-no-lists",
+        ),
+        pytest.param(
+            8, 3, 0, 44838, "6ddd6a664f75846b7c2d7f6566f73366d6c9bbf18fe1496dd19ce3f85629aa83",
+            id="k8-no-lists",
+        ),
+    ])
+    def test_completions_kept_across_memo_states(self, n, d, size, completions, digest):
+        # the top-level check alone keeps the same graphs, so the pruning
+        # inside the memo is pinned by the completions it keeps; the seeded
+        # empty state is not counted.  size 0 means no pair lists.
+        lists = _subset_pairs(n, size) if size else ()
+        memo, (_, graphs) = memo_at_return(lambda: _regular_graphs(n, d, lists))
+        assert sum(len(kept) for state, (_, kept) in memo.items() if state) == completions
         assert sha256(",".join(map(str, graphs))) == digest
 
 
