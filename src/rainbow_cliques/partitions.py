@@ -166,26 +166,26 @@ def rainbow_pruned_partitions(
 def _balanced_partitions(n: int, sizes: tuple[int, ...]):
     """All partitions of {1..n} into unordered parts with the given size
     multiset, each emitted once; parts ordered by their minimum element."""
-    def rec(remaining: list[int], size_pool: list[int], acc: list[tuple[int, ...]]):
-        if not remaining:
-            yield list(acc)
-            return
-        anchor = remaining[0]
-        rest = remaining[1:]
-        seen_sizes = set()
-        for idx, s in enumerate(size_pool):
-            if s in seen_sizes:
-                continue
-            seen_sizes.add(s)
-            pool2 = size_pool[:idx] + size_pool[idx + 1:]
-            for others in combinations(rest, s - 1):
-                part = (anchor,) + others
-                left = [v for v in rest if v not in others]
-                acc.append(part)
-                yield from rec(left, pool2, acc)
-                acc.pop()
+    return _partitions_of(list(range(1, n + 1)), list(sizes), [])
 
-    try:
-        yield from rec(list(range(1, n + 1)), list(sizes), [])
-    finally:
-        del rec  # the closure names itself, also when closed early
+
+def _partitions_of(remaining: list[int], size_pool: list[int], acc: list[tuple[int, ...]]):
+    """Extend the parts in `acc` by every partition of `remaining` into parts
+    with the sizes in `size_pool`, the first part holding remaining[0]."""
+    if not remaining:
+        yield list(acc)
+        return
+    anchor = remaining[0]
+    rest = remaining[1:]
+    seen_sizes = set()
+    for idx, s in enumerate(size_pool):
+        if s in seen_sizes:
+            continue
+        seen_sizes.add(s)
+        pool2 = size_pool[:idx] + size_pool[idx + 1:]
+        for others in combinations(rest, s - 1):
+            part = (anchor,) + others
+            left = [v for v in rest if v not in others]
+            acc.append(part)
+            yield from _partitions_of(left, pool2, acc)
+            acc.pop()

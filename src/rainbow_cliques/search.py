@@ -1,25 +1,11 @@
 """Exact detection and counting of rainbow, monochromatic, and properly
 colored patterns in edge-colored graphs.
 
-All finders are deterministic: when several witnesses exist, the one with the
-lexicographically smallest vertex list (under the canonical orientation of the
-pattern) is returned.  Clique search uses ordered backtracking over vertices
-with adjacency bitmasks, in two forms.  Counting keeps only the candidates
-that extend the current clique to a rainbow clique, filtered by masks from a
-table built once per count: for each edge uv, the vertices w that make
-triangle uvw rainbow, and per-color neighbour masks for the colors on two or
-more edges.  The clique on k-2 vertices then counts the pairs of candidates
-that finish it with a few big-int operations on one vertex mask per block,
-so neither (k-1)- nor k-cliques are visited one by one.  k = 3 is all
-triangles less the non-rainbow ones: over the c-neighbourhoods N_c(x), the
-edges inside count a triangle with two c-edges at x once and a monochromatic
-one three times, and the c-edges inside count only the latter, three times.
-Finding stops at a limit (the first clique, or the falsifier's second) and
-checks each candidate's colors against the used ones: a hit comes early
-there, and the tables would cost more than the search.  That search,
-``_rainbow_cliques(n, adj, cm, k, limit)``, takes the adjacency masks and
-color matrix rather than a ColoredGraph, so the falsifier can run it on one
-matrix that it rewrites for each trial.
+Every finder returns None or a Witness.  When several witnesses exist, the
+one with the lexicographically smallest vertex list (under the canonical
+orientation of the pattern) is returned, and validate_witness re-checks it
+against the host graph.  count_rainbow_cliques counts exactly and states its
+algorithm.
 """
 
 from __future__ import annotations
@@ -103,7 +89,9 @@ def _rainbow_cliques(
 
     The clique grows in increasing order, so a candidate v is checked
     against members u < v only: the search reads cm[v][u] with u < v and
-    never the upper triangle, which a caller may leave stale."""
+    never the upper triangle, which a caller may leave stale.  It checks
+    each candidate's colors rather than building count_rainbow_cliques' tables:
+    a hit at the limit comes early, and the tables would cost more."""
     if k < 1:
         raise ValueError(f"clique size must be positive, got k={k}")
     if limit < 1:

@@ -38,7 +38,9 @@ def thresholds(n: int, k: int) -> tuple[int, int]:
     """(extremal, existence) values of e(G)+c(G) for rainbow K_k on n vertices.
 
     For k >= 4: existence = C(n,2) + t_{n,k-2} + 2 and the extremal value is
-    one less.  For k = 3 the existence threshold is C(n,2) + n.
+    one less, the e+c of extremal(n, k) for n >= k-1.  At n = k-2 the
+    extremal value is 2*C(n,2) + 1, one above the all-rainbow maximum.  For
+    k = 3 the existence threshold is C(n,2) + n.
     """
     if k < 3:
         raise ValueError(f"rainbow clique thresholds need k >= 3, got k={k}")

@@ -13,7 +13,6 @@ from __future__ import annotations
 import random
 import statistics
 import time
-from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -294,15 +293,6 @@ def _regular_graphs(
     # the seeded empty state is never checked: test every list here
     every = (1 << len(spans)) - 1
     return count, [g for g, _, twos in kept if twos == every]
-
-
-def labeled_regular_graphs(n: int, d: int) -> array:
-    """Every labeled simple d-regular graph on vertices 1..n exactly once,
-    in the enumeration order of _regular_graphs, as an array of edge masks:
-    bit i is the i-th pair of combinations(range(1, n + 1), 2).  A mask fits
-    a 64-bit "Q" word while C(n, 2) <= 64, that is n <= 11; the reductions
-    use n <= 9."""
-    return array("Q", _regular_graphs(n, d, ())[1])
 
 
 def _mono_graph(edges: int, n: int) -> ColoredGraph:

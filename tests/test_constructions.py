@@ -1,5 +1,6 @@
 import hashlib
 import random
+from math import comb
 
 import pytest
 
@@ -50,10 +51,18 @@ class TestExtremal:
         assert find_rainbow_turan(g, 2) is not None
 
     def test_sits_at_extremal_threshold(self):
-        for k in (4, 5, 6, 7):
-            for n in range(max(k, 8), 61, 7):
+        for k in (4, 5, 6, 7, 8):
+            for n in [*range(k - 1, k + 3), *range(max(k, 8), 61, 7)]:
                 g = extremal(n, k)
-                assert g.e + g.c == thresholds(n, k)[0]
+                assert g.e + g.c == thresholds(n, k)[0], (n, k)
+
+    def test_single_vertex_parts_leave_the_shared_color_unused(self):
+        for k in range(4, 9):
+            g = extremal(k - 2, k)
+            m = comb(k - 2, 2)
+            assert (g.e, g.c) == (m, m), k
+            # the threshold lies one above the all-rainbow maximum here
+            assert thresholds(k - 2, k)[0] == 2 * m + 1, k
 
     def test_no_rainbow_clique_exhaustive(self):
         for k in (4, 5, 6):
@@ -187,12 +196,14 @@ class TestPerturbFreshColors:
         assert perturb_fresh_colors(g, 2 * g.e, seed=1) == g
 
     def test_target_unreachable(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^target e\+c=57 unreachable, maximum is 56$"):
             perturb_fresh_colors(extremal(8, 4), 57, seed=1)
 
     def test_incomplete_host_rejected(self):
-        with pytest.raises(ValueError):
-            perturb_fresh_colors(counterexample_n7(), 35, seed=1)
+        # checked first, so an unreachable target fails on this rule too
+        for target in (35, 10**6):
+            with pytest.raises(ValueError, match="^perturbation requires a complete host graph$"):
+                perturb_fresh_colors(counterexample_n7(), target, seed=1)
 
     def test_edge_set_unchanged_and_deterministic(self):
         base = extremal(10, 4)

@@ -17,7 +17,7 @@ from rainbow_cliques import (
     lexicographic,
 )
 from rainbow_cliques.partitions import _balanced_partitions, rainbow_pruned_partitions
-from rainbow_cliques.verify import labeled_regular_graphs, verify_k9_reduction
+from rainbow_cliques.verify import _regular_graphs, verify_k9_reduction
 
 
 CALLS = {
@@ -31,7 +31,7 @@ CALLS = {
     "pruned partitions": lambda: rainbow_pruned_partitions(6, 2, 4, [(0, 1, 2), (2, 3, 4)]),
     "balanced partitions": lambda: list(_balanced_partitions(6, (2, 2, 2))),
     "rainbow turan, stops early": lambda: find_rainbow_turan(extremal(6, 4), 2),
-    "regular graphs": lambda: labeled_regular_graphs(8, 3),
+    "regular graphs": lambda: _regular_graphs(8, 3, ()),
     "k9 reduction": verify_k9_reduction,
 }
 

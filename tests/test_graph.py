@@ -323,6 +323,19 @@ class TestImmutability:
         assert g.e == 2 and g.color_of(1, 2) == 1 and g.color_of(1, 3) is None
 
 
+class TestEquality:
+    def test_compares_n_and_colors(self):
+        g = ColoredGraph(3, {(1, 2): 1, (2, 3): 2})
+        assert g == ColoredGraph(3, {(2, 3): 2, (1, 2): 1})
+        assert g != ColoredGraph(4, {(1, 2): 1, (2, 3): 2})
+        assert g != ColoredGraph(3, {(1, 2): 1, (2, 3): 3})
+        assert g != (3, {(1, 2): 1, (2, 3): 2})
+
+    def test_graphs_are_unhashable(self):
+        with pytest.raises(TypeError, match="unhashable type: 'ColoredGraph'"):
+            hash(rainbow_k4())
+
+
 class TestIsComplete:
     def test_k4(self):
         assert is_complete(rainbow_k4())
