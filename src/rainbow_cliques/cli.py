@@ -158,8 +158,8 @@ def _read_graph(path: str):
         # exc.object is the data after a leading byte-order mark
         offset = exc.start + len(data) - len(exc.object)
         byte = exc.object[exc.start]
-        raise ECGParseError(
-            0, f"cannot read {path}: not UTF-8 text (byte {byte:#04x} at offset {offset})"
+        raise OSError(
+            f"cannot read {path}: not UTF-8 text (byte {byte:#04x} at offset {offset})"
         ) from None
     if "\r" in text:  # newlines translated as text mode would
         text = text.replace("\r\n", "\n").replace("\r", "\n")

@@ -56,19 +56,6 @@ class Witness:
     parts: tuple[int, ...] = ()
 
 
-def _edge_key(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
-
-
-def _bad_edge(items, n: int):
-    """The first ((u, v), c) of `items` that is not an edge 1 <= u < v <= n
-    with a positive color, or None."""
-    for (u, v), c in items:
-        if not (1 <= u < v <= n) or c <= 0:
-            return (u, v), c
-    return None
-
-
 @dataclass(frozen=True)
 class ColoredGraph:
     """Immutable edge-colored simple graph on vertices 1..n."""
@@ -86,23 +73,21 @@ class ColoredGraph:
             raise TypeError(f"vertex count must be an int, got {self.n!r}")
         if self.n <= 0:
             raise ValueError(f"vertex count must be positive, got {self.n}")
+        n = self.n
         try:
-            bad = _bad_edge(self.colors.items(), self.n)
-        except (TypeError, ValueError):
-            # a key that is not a pair, or an end or color that does not
-            # compare with an int: find the item one at a time, off the
-            # loop that every graph runs
-            for item in self.colors.items():
-                try:
-                    _bad_edge((item,), self.n)
-                except (TypeError, ValueError) as exc:
-                    raise type(exc)(f"bad edge item {item!r}: {exc}") from None
-            raise
-        if bad is not None:
-            (u, v), c = bad
-            if not (1 <= u < v <= self.n):
-                raise ValueError(f"bad edge ({u},{v}) for n={self.n}")
-            raise ValueError(f"nonpositive color {c} on edge ({u},{v})")
+            # unpacked at once, so the items iterator can reuse its tuple
+            for key, c in self.colors.items():
+                u, v = key
+                if not (1 <= u < v <= n) or c <= 0:
+                    break
+            else:
+                return  # every edge is good
+        except (TypeError, ValueError) as exc:
+            # a key that is not a pair, or an end or color not comparable with an int
+            raise type(exc)(f"bad edge item {(key, c)!r}: {exc}") from None
+        if not (1 <= u < v <= n):
+            raise ValueError(f"bad edge ({u},{v}) for n={n}")
+        raise ValueError(f"nonpositive color {c} on edge ({u},{v})")
 
     # -- basic accessors ---------------------------------------------------
 
@@ -115,7 +100,7 @@ class ColoredGraph:
         return len(set(self.colors.values()))
 
     def color_of(self, u: int, v: int) -> int | None:
-        return self.colors.get(_edge_key(u, v))
+        return self.colors.get((u, v) if u < v else (v, u))
 
     @cached_property
     def adj(self) -> tuple[int, ...]:
@@ -159,7 +144,7 @@ def induced_subgraph(g: ColoredGraph, keep: Iterable[int]) -> ColoredGraph:
     colors = {}
     for (u, v), c in g.colors.items():
         if u in relabel and v in relabel:
-            colors[_edge_key(relabel[u], relabel[v])] = c
+            colors[relabel[u], relabel[v]] = c  # relabel keeps u < v
     return ColoredGraph(len(ks), colors)
 
 

@@ -434,12 +434,11 @@ def falsify_two_cliques(
     )
 
 
-# Largest n per k, in steps of 10 up to 100, whose count took under 10 s at
-# eps 0.1, seed 1 (one core of a 2-core VM) when the counter visited every
-# rainbow (k-1)-clique; counting rainbow K_k grows about as n^k.  With the
-# pair count the same host takes 1.6-1.9 s for k = 6 at n = 60, 3.9-4.3 s at
-# 70 and 6.5 s at 80; k = 5 takes 0.65-0.78 s and k = 4 0.04 s at n = 100.
-_SUPERSAT_MAX_N = {3: 100, 4: 100, 5: 100, 6: 60}
+# Largest n per k, in steps of 10 up to 100, whose count takes under 10 s at
+# eps 0.1, seed 1 (one core of a 2-core Xeon VM).  k = 6 takes 1.7-2.1 s at
+# n = 60, 3.3-4.1 s at 70, 7.2-7.7 s at 80 and 10.2-12.3 s at 90; k = 5
+# takes 0.8 s and k = 4 0.04 s at n = 100.
+_SUPERSAT_MAX_N = {3: 100, 4: 100, 5: 100, 6: 80}
 
 
 def supersaturation_experiment(

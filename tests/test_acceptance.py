@@ -4,7 +4,6 @@ its stated time budget."""
 
 import random
 import time
-from math import comb
 
 from rainbow_cliques import (
     count_rainbow_cliques,

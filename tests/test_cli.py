@@ -148,7 +148,7 @@ def test_undecodable_file_exit_3(tmp_path, capsys, argv):
     bad.write_bytes(b"2 1\n1 2 \xff\n")
     assert run(argv[:1] + [str(bad)] + argv[1:]) == 3
     assert capsys.readouterr().err == (
-        f"parse error: line 0: cannot read {bad}: not UTF-8 text (byte 0xff at offset 8)\n"
+        f"io error: cannot read {bad}: not UTF-8 text (byte 0xff at offset 8)\n"
     )
 
 
@@ -179,7 +179,7 @@ def test_undecodable_file_after_a_byte_order_mark_counts_its_bytes(tmp_path, cap
     bad.write_bytes(b"\xef\xbb\xbf2 1\n1 2 \xff\n")
     assert run(["analyze", str(bad)]) == 3
     assert capsys.readouterr().err == (
-        f"parse error: line 0: cannot read {bad}: not UTF-8 text (byte 0xff at offset 11)\n"
+        f"io error: cannot read {bad}: not UTF-8 text (byte 0xff at offset 11)\n"
     )
 
 
@@ -258,7 +258,7 @@ def test_supersat_k5_k6_counts_match_the_oracle(k, capsys):
 
 
 @pytest.mark.parametrize("k, ns, cap, n", [
-    ("6", "30,100", 60, 100), ("6", "61,30", 60, 61),
+    ("6", "30,100", 80, 100), ("6", "81,30", 80, 81),
     ("5", "30,101", 100, 101), ("3", "10,101", 100, 101),
 ])
 def test_supersat_n_above_the_cap_for_k_exit_2_before_counting(k, ns, cap, n, capsys, monkeypatch):
@@ -269,6 +269,19 @@ def test_supersat_n_above_the_cap_for_k_exit_2_before_counting(k, ns, cap, n, ca
     assert run(["supersat", "--k", k, "--ns", ns, "--eps", "0.1"]) == 2
     err = capsys.readouterr().err
     assert err == f"error: experiment for k={k} capped at n <= {cap}, got n={n}\n"
+
+
+def test_supersat_n_at_the_cap_for_k_6_is_counted(capsys, monkeypatch):
+    counted = []
+
+    def stub(g, k):
+        counted.append((g.n, k))
+        return g.n
+
+    monkeypatch.setattr(verify, "count_rainbow_cliques", stub)
+    assert run(["supersat", "--k", "6", "--ns", "30,80", "--eps", "0.1"]) == 0
+    assert counted == [(30, 6), (80, 6)]
+    assert capsys.readouterr().out.splitlines()[2].startswith("80,")
 
 
 def test_supersat_k_outside_3_to_6_exit_2(capsys):

@@ -195,6 +195,17 @@ class TestCounts:
             assert (g.e, g.c) == ec
 
 
+class TestColorOf:
+    def test_either_order_and_none_off_the_edges(self):
+        rng = random.Random(12)
+        for _ in range(50):
+            g = random_colored_graph(rng)
+            for u in range(1, g.n + 1):
+                assert g.color_of(u, u) is None
+                for v in range(u + 1, g.n + 1):
+                    assert g.color_of(v, u) == g.color_of(u, v) == g.colors.get((u, v))
+
+
 class TestInducedSubgraph:
     def test_identity(self):
         g = rainbow_k4()
@@ -223,6 +234,18 @@ class TestInducedSubgraph:
             keep = [v for v in range(1, g.n + 1) if rng.random() < 0.7] or [1]
             sub = induced_subgraph(g, keep)
             assert sub.e <= g.e and sub.c <= g.c
+
+    def test_unsorted_keep_with_repeats_keeps_host_colors(self):
+        rng = random.Random(13)
+        for _ in range(50):
+            g = random_colored_graph(rng)
+            keep = rng.choices(range(1, g.n + 1), k=rng.randint(1, 2 * g.n))
+            kept = sorted(set(keep))
+            sub = induced_subgraph(g, keep)
+            assert sub.n == len(kept)
+            for i in range(1, sub.n + 1):
+                for j in range(1, sub.n + 1):
+                    assert sub.color_of(i, j) == g.color_of(kept[i - 1], kept[j - 1])
 
     def test_empty_keep(self):
         with pytest.raises(ValueError):
@@ -285,6 +308,9 @@ class TestConstruction:
         (3, {(2, 1): 1}, r"bad edge \(2,1\) for n=3"),
         (3, {(1, 4): 1}, r"bad edge \(1,4\) for n=3"),
         (3, {(1, 2): 0}, r"nonpositive color 0 on edge \(1,2\)"),
+        # the first bad item in insertion order decides the error
+        (3, {(1, 4): 1, (1, 2, 3): 1}, r"bad edge \(1,4\) for n=3"),
+        (3, {(1, 2): 0, (1, 4): 1}, r"nonpositive color 0 on edge \(1,2\)"),
     ])
     def test_rejects_bad_input(self, n, colors, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -300,6 +326,8 @@ class TestConstruction:
          r"bad edge item \(\(1, 2, 3\), 1\): too many values to unpack"),
         ({(1, 2): 1, (2,): 4}, ValueError,
          r"bad edge item \(\(2,\), 4\): not enough values to unpack"),
+        ({(1, 2, 3): 1, (1, 4): 1}, ValueError,
+         r"bad edge item \(\(1, 2, 3\), 1\): too many values to unpack"),
         ({1: 1}, TypeError, r"bad edge item \(1, 1\): cannot unpack non-iterable int"),
         ({(1, "2"): 1}, TypeError, r"bad edge item \(\(1, '2'\), 1\): '<' not supported"),
         ({(1, 2): "x"}, TypeError, r"bad edge item \(\(1, 2\), 'x'\): '<=' not supported"),

@@ -9,7 +9,6 @@ import pytest
 from rainbow_cliques import (
     ColoredGraph,
     count_rainbow_cliques,
-    counterexample_n7,
     delete_vertex,
     extremal,
     find_monochromatic_cycle,
@@ -436,7 +435,6 @@ class TestProperC4:
 
     def test_threshold_falsification_search(self):
         # e+c >= C(8,2)+8+1 = 37 always yields a properly colored C4
-        from math import comb
         target = comb(8, 2) + 8 + 1
         for seed in range(1000):
             g = perturb_fresh_colors(mono_complete(8), target, seed)
