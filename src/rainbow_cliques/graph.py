@@ -290,8 +290,23 @@ def _parse_lines(text: str) -> ColoredGraph:
     return ColoredGraph(n, colors)
 
 
+# the characters of an ECG text whose fields are all ints
+_INT_FIELDS = re.compile(r"[0-9 \n]*+")
+
+
 def format_ecg(g: ColoredGraph) -> str:
+    """ECG text of g.  A float or bool end or color (which ColoredGraph
+    accepts) would be written as text that parse_ecg rejects, so it raises
+    ValueError naming the first such edge."""
+    items = sorted(g.colors.items())
     lines = [f"{g.n} {g.e}"]
-    for (u, v), c in sorted(g.colors.items()):
+    for (u, v), c in items:
         lines.append(f"{u} {v} {c}")
-    return "\n".join(lines) + "\n"
+    text = "\n".join(lines) + "\n"
+    if not _INT_FIELDS.fullmatch(text):
+        # one check over the whole text; the edge is looked for only now
+        key, c = next(
+            item for item, line in zip(items, lines[1:]) if not _INT_FIELDS.fullmatch(line)
+        )
+        raise ValueError(f"edge {key!r} with color {c!r}: ECG text holds only int fields")
+    return text

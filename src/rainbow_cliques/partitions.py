@@ -59,17 +59,23 @@ def rainbow_pruned_partitions(
     visited each finished cut is broken, and the unbroken cuts are exactly
     the open ones: those that end rainbow unless one of their unassigned
     positions reuses a block, i.e. joins a block opened at an earlier
-    position.  Reaching lo blocks needs lo - blocks of the remaining
-    positions to open new blocks, which leaves at most r reuses.  So a node
-    is skipped when r = 0 and some cut is unbroken.  At r = 1 the one reuse p
-    breaks an open cut exactly when p is one of its unassigned positions and
-    joins a block that holds one of its elements, or the block that one of
-    its earlier unassigned positions opened.  So a node is skipped when r = 1
-    and the open cuts share no unassigned position, or share exactly one and
-    no block's mask holds every open cut.  Both rules are exact: a node with
-    r <= 1 that is not skipped has a surviving completion.  Cuts that repeat
-    an index are never rainbow and are dropped first.  A cut that is empty
-    or has an index outside 0..m-1 raises ValueError.
+    position that holds another of its elements.  Reaching lo blocks needs
+    lo - blocks of the remaining positions to open new blocks, which leaves
+    at most r reuses.  A node with r <= 2 is not walked position by
+    position: its surviving completions are listed directly, by first reuse
+    p1 and its block b1, then second reuse p2 and its block b2.  Every open
+    cut needs a reuse at one of its positions, so the open cuts that do not
+    hold p1 must all hold p2, a later position, and p2 must join a block
+    that holds all of them.  The first reuse may lie in no cut: it can join
+    any block, such as one opened just before it.  In each (p1, b1) group
+    the completion with fewer reuses comes last, which keeps the list in
+    lexicographic order.  A listed node adds its count-table size minus the
+    completions listed to `skipped`, so the count holds by construction and
+    the verifiers' accounting check cannot catch a survivor that the listing
+    misses (nor could it catch one that a pruning rule wrongly skipped): the
+    brute-force tests guard the listing.  Cuts that repeat an index are
+    never rainbow and are dropped first.  A cut that is empty or has an
+    index outside 0..m-1 raises ValueError.
 
     Returns the surviving RGS, in lexicographic order, and the exact number
     of RGS in the skipped subtrees, so survivors + skipped is the sum of
@@ -99,66 +105,122 @@ def rainbow_pruned_partitions(
     held = [0] * min(hi, m)
     survivors: list[tuple[int, ...]] = []
     skipped = 0
-    # broken -> the AND of the unbroken cuts' index masks
-    shared: dict[int, int] = {}
+    # a set of cuts -> the positions that all of them hold
+    common: dict[int, int] = {}
 
-    def doomed(pos: int, reuses: int, broken: int) -> bool:
-        """Whether every completion of this node makes some cut rainbow."""
-        unbroken = every & ~broken
-        if not unbroken:
-            return False
-        if not reuses:
-            return True
-        need = shared.get(broken)
+    def shared(open_cuts: int) -> int:
+        need = common.get(open_cuts)
         if need is None:
-            need, rest = -1, unbroken
+            need, rest = (1 << m) - 1, open_cuts
             while rest:
                 low = rest & -rest
                 need &= masks[low.bit_length() - 1]
                 rest ^= low
-            shared[broken] = need
-        # the one reuse p must lie in every open cut's unassigned positions
-        need >>= pos
-        if not need:
-            return True
-        if need & (need - 1):
-            # the later of two shared positions can join the block the
-            # earlier one opened
-            return False
-        # p is the only shared position: it must join a block that holds
-        # every open cut
-        return all(unbroken & ~h for h in held)
+            common[open_cuts] = need
+        return need
 
-    # every node keeps blocks + (m - pos) >= lo, so lo stays reachable
+    def tail(pos: int, blocks: int, broken: int, most: int) -> None:
+        """List the surviving completions of a node with at most `most` <= 2
+        reuses left, by (first reuse p1, its block b1, second reuse p2, its
+        block b2), in lexicographic order."""
+        nonlocal skipped
+        left = m - pos
+        least = blocks + left - hi  # fewer reuses would pass hi blocks
+        found = len(survivors)
+        unbroken = every & ~broken
+        head = tuple(rgs[:pos])
+        # the cuts each block holds: the used blocks, then one block per
+        # position from pos on, opened there unless a reuse comes first
+        opened = held[:blocks] + at[pos:]
+        fresh = tuple(range(blocks, blocks + left))
+        for p1 in range(pos, m) if most else ():
+            here = at[p1]
+            # p1 breaks no cut that does not hold it: those are left to p2, a
+            # later position that all of them hold
+            outside = unbroken & ~here
+            if outside and (most < 2 or not shared(outside) >> p1 + 1):
+                continue
+            k1 = p1 - pos  # new blocks before p1
+            top = blocks + k1
+            # past p1 the blocks it did not open shift down one slot
+            after = opened[:top] + opened[top + 1:]
+            # p2 joins a block opened before it that holds every cut that
+            # p1 cannot break
+            reach = top + (shared(outside) >> p1 + 1).bit_length() - 1
+            holders = [b for b in range(reach) if not outside & ~after[b]]
+            if outside and not holders:
+                continue
+            for b1 in range(top):
+                rest = unbroken & ~(here & opened[b1])
+                if most == 2:
+                    later = shared(rest) >> p1 + 1 << p1 + 1
+                    if later:
+                        good = [
+                            b for b in holders
+                            if not rest & ~(after[b] | here if b == b1 else after[b])
+                        ]
+                        while later and good:
+                            low = later & -later
+                            later ^= low
+                            k2 = low.bit_length() - pos - 2  # new blocks before p2
+                            for b2 in good:
+                                if b2 >= blocks + k2:
+                                    break
+                                survivors.append(
+                                    head + fresh[:k1] + (b1,) + fresh[k1:k2]
+                                    + (b2,) + fresh[k2:left - 2]
+                                )
+                if least <= 1 and not rest:
+                    survivors.append(head + fresh[:k1] + (b1,) + fresh[k1:left - 1])
+        if least <= 0 and not unbroken:
+            survivors.append(head + fresh)
+        skipped += counts[left][blocks] - (len(survivors) - found)
+
+    # every node keeps blocks + (m - pos) >= lo, so lo stays reachable, and
+    # has more than two reuses left, since tail() lists the others
     def rec(pos: int, blocks: int, broken: int) -> None:
         nonlocal skipped
-        if pos == m:
-            survivors.append(tuple(rgs))
-            return
         done = finish[pos]
         here = at[pos]
         left = m - pos - 1
         sizes = counts[left]
-        # once the used blocks alone cannot reach lo, only a new block can
-        start = blocks if blocks + left < lo else 0
-        for b in range(start, min(blocks + 1, hi)):
-            new_blocks = blocks if b < blocks else blocks + 1
-            was = held[b]
-            now = broken | was & here
-            if done & ~now:
-                # a cut finished here unbroken, so rainbow
-                skipped += sizes[new_blocks]
-                continue
-            rgs[pos] = b
-            held[b] = was | here
-            reuses = left - max(lo - new_blocks, 0)
-            if reuses <= 1 and left and doomed(pos + 1, reuses, now):
-                skipped += sizes[new_blocks]
+        if blocks + left >= lo:
+            # join a used block
+            size = sizes[blocks]
+            most = left - max(lo - blocks, 0)
+            for b in range(blocks):
+                was = held[b]
+                now = broken | was & here
+                if done & ~now:
+                    # a cut finished here unbroken, so rainbow
+                    skipped += size
+                    continue
+                rgs[pos] = b
+                held[b] = was | here
+                if most <= 2:
+                    tail(pos + 1, blocks, now, most)
+                else:
+                    rec(pos + 1, blocks, now)
+                held[b] = was
+        if blocks < hi:
+            # open a new block, which breaks no cut
+            if done & ~broken:
+                skipped += sizes[blocks + 1]
+                return
+            rgs[pos] = blocks
+            held[blocks] = here
+            most = left - max(lo - blocks - 1, 0)
+            if most <= 2:
+                tail(pos + 1, blocks + 1, broken, most)
             else:
-                rec(pos + 1, new_blocks, now)
-            held[b] = was
+                rec(pos + 1, blocks + 1, broken)
+            held[blocks] = 0
 
-    rec(0, 0, 0)
+    most = m - max(lo, 0)
+    if most <= 2:
+        tail(0, 0, 0, most)
+    else:
+        rec(0, 0, 0)
     del rec  # the closure names itself: a cycle that would keep the tables
     return survivors, skipped
 

@@ -182,12 +182,11 @@ def verify_k6_dichotomy() -> VerificationReport:
     """Enumerate all set partitions of the 15 edges of K6 into exactly 10
     classes.  Any coloring with a rainbow K4 satisfies the lemma vacuously,
     so a subtree is skipped (with its size counted exactly) once a completed
-    4-subset is rainbow, or once every completion must make some 4-subset
-    rainbow, which the enumerator decides exactly where at most one block
-    reuse is left (both through _colorings_without_rainbow, as in the
-    triangle verifier).  Each surviving coloring must have saturation
-    tallies (c_2,c_1,c_0) = (9,0,1) and contain a rainbow T_{6,2} or a
-    monochromatic C_6."""
+    4-subset is rainbow, and once at most two block reuses are left the
+    enumerator lists the completions with no rainbow 4-subset directly
+    (both through _colorings_without_rainbow, as in the triangle verifier).
+    Each surviving coloring must have saturation tallies (c_2,c_1,c_0) =
+    (9,0,1) and contain a rainbow T_{6,2} or a monochromatic C_6."""
     t0 = time.perf_counter()
     m, r = len(_K6_EDGES), 10
     survivors, skipped = _colorings_without_rainbow(6, _K6_EDGES, 4, r, r)

@@ -29,18 +29,18 @@ def random_complete_colored_graph(rng: random.Random, n: int, palette: int) -> C
     return ColoredGraph(n, colors)
 
 
-def count_inner_calls(outer, run):
-    """The number of calls of the closure `rec` defined in the function
+def count_inner_calls(outer, run, name="rec"):
+    """The number of calls of the closure `name` defined in the function
     `outer` while run() runs, and run()'s result."""
-    rec = next(
+    code = next(
         c for c in outer.__code__.co_consts
-        if isinstance(c, CodeType) and c.co_name == "rec"
+        if isinstance(c, CodeType) and c.co_name == name
     )
     calls = 0
 
     def tracer(frame, event, arg):
         nonlocal calls
-        if frame.f_code is rec:
+        if frame.f_code is code:
             calls += 1
 
     old = sys.gettrace()

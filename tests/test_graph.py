@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -183,6 +184,20 @@ class TestFormat:
         for _ in range(50):
             g = random_colored_graph(rng)
             assert parse_ecg(format_ecg(g)) == g
+
+    @pytest.mark.parametrize("colors, named", [
+        pytest.param({(1, 2): 1, (1.5, 2): 1}, "(1.5, 2) with color 1", id="float-end"),
+        pytest.param({(1, 3): 1, (True, 2): 1}, "(True, 2) with color 1", id="bool-end"),
+        pytest.param({(1, 2): 1, (2, 3): 1.5}, "(2, 3) with color 1.5", id="float-color"),
+        pytest.param({(1, 2): True, (2, 3): 2}, "(1, 2) with color True", id="bool-color"),
+    ])
+    def test_a_field_that_is_not_an_int_does_not_round_trip(self, colors, named):
+        # ColoredGraph accepts such a graph, but its text (`1.5 2 1`,
+        # `1 2 True`) would not parse back: parse_ecg rejects a non-integer
+        # edge field
+        message = rf"^edge {re.escape(named)}: ECG text holds only int fields$"
+        with pytest.raises(ValueError, match=message):
+            format_ecg(ColoredGraph(3, colors))
 
 
 class TestCounts:

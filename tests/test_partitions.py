@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 from itertools import combinations
@@ -138,9 +139,9 @@ class TestAllPartitions:
             assert len(every) == bell(m)
             for _ in range(30):
                 # lo > m and hi < lo are infeasible: no survivors, nothing
-                # skipped.  lo = m - 1 or m leaves at most one position that
-                # reuses a block, where the lookahead prunes.
-                lo = rng.choice((rng.randint(0, m + 1), rng.randint(max(m - 1, 0), m)))
+                # skipped.  lo >= m - 2 leaves at most two positions that
+                # reuse a block, so the root's completions are listed directly.
+                lo = rng.choice((rng.randint(0, m + 1), rng.randint(max(m - 2, 0), m)))
                 hi = rng.randint(lo - 1, m + 1)
                 cuts = [random_cut(rng, m) for _ in range(rng.randint(0, 4) if m else 0)]
                 survivors, skipped = rainbow_pruned_partitions(m, lo, hi, cuts)
@@ -153,7 +154,8 @@ class TestAllPartitions:
 
     @pytest.mark.parametrize("m", range(9, 13))
     def test_matches_the_cut_free_list_filtered_past_m8(self, m):
-        # lo >= m - 3 leaves at most three reuses, so the r <= 1 rules fire
+        # lo >= m - 3 leaves at most three reuses, so the completions below
+        # the root, or the root's own, are listed directly
         rng = random.Random(m)
         for lo in range(m - 3, m + 1):
             hi = rng.randint(lo, m)
@@ -171,56 +173,89 @@ class TestAllPartitions:
                 )
 
 
-class TestOneReuseLookahead:
-    """With lo = m - 1 exactly one position reuses a block, and the
-    lookahead decides each node exactly: the reuse p must lie in every open
-    cut's unassigned positions and join a block all of them hold, or the
-    block an earlier such position opened."""
+def check_listing(m, lo, hi, cuts, expect=None):
+    """The survivors, checked against brute force, against `expect` unless
+    it is None, and against the Stirling sum with `skipped`."""
+    survivors, skipped = rainbow_pruned_partitions(m, lo, hi, cuts)
+    # all_rgs lists in lexicographic order, as the enumerator does
+    assert survivors == [
+        g for g in all_rgs(m) if lo <= len(set(g)) <= hi and not rainbow(g, cuts)
+    ]
+    assert expect is None or survivors == expect
+    assert len(survivors) + skipped == sum(stirling2(m, r) for r in range(lo, hi + 1))
+    return survivors
 
-    @staticmethod
-    def brute_force(m, lo, hi, cuts):
-        return sorted(
-            g for g in all_rgs(m)
-            if lo <= len(set(g)) <= hi
-            and not rainbow(g, cuts)
-        )
 
-    def check(self, m, lo, hi, cuts, expect):
-        survivors, skipped = rainbow_pruned_partitions(m, lo, hi, cuts)
-        assert survivors == self.brute_force(m, lo, hi, cuts) == expect
-        assert len(survivors) + skipped == sum(stirling2(m, r) for r in range(lo, hi + 1))
+class TestOneReuseLeft:
+    """With lo = m - 1 exactly one position reuses a block: the reuse p must
+    lie in every open cut's unassigned positions and join a block all of
+    them hold, or the block an earlier such position opened."""
 
     def test_reuse_joins_a_block_every_open_cut_holds(self):
         # below 0123 the cuts hold block 0 and share position 4 alone
-        self.check(5, 4, 4, [(0, 1, 4), (0, 2, 4), (0, 3, 4)], [(0, 1, 2, 3, 0)])
+        check_listing(5, 4, 4, [(0, 1, 4), (0, 2, 4), (0, 3, 4)], [(0, 1, 2, 3, 0)])
 
     def test_reuse_joins_the_block_a_shared_position_opened(self):
         # below 012 the cuts hold blocks 0, 1, 2 (none in common) and share
         # positions 3 and 4, so 4 must join the block 3 opens
-        self.check(5, 4, 4, [(0, 3, 4), (1, 3, 4), (2, 3, 4)], [(0, 1, 2, 3, 3)])
+        check_listing(5, 4, 4, [(0, 3, 4), (1, 3, 4), (2, 3, 4)], [(0, 1, 2, 3, 3)])
 
     def test_one_shared_position_and_no_common_block_has_no_survivor(self):
         # below 0123 the cuts share only position 4 and hold blocks {0, 1}
         # and {2, 3}; with a second reuse 4 can join block 1 once 2 joined it
         cuts = [(0, 1, 4), (2, 3, 4)]
-        self.check(5, 4, 4, cuts, [])
+        check_listing(5, 4, 4, cuts, [])
         assert (0, 1, 1, 2, 1) in rainbow_pruned_partitions(5, 3, 4, cuts)[0]
 
 
+class TestTwoReuseTail:
+    """With at most two reuses left the completions are listed by (first
+    reuse p1, its block b1, second reuse p2, its block b2)."""
+
+    def test_first_reuse_outside_every_cut(self):
+        # lo = m - 2 at the root; 2 joins block 0 and lies in no cut, then 4
+        # joins 1's block and breaks the cut
+        survivors = check_listing(7, 5, 5, [(1, 4)])
+        assert (0, 1, 0, 2, 1, 3, 4) in survivors
+        assert len(survivors) == 15
+
+    def test_second_reuse_joins_the_block_the_first_grew(self):
+        # 2 joins block 0, breaking (0, 2); 3 then breaks (2, 3) only by
+        # joining the block 2 joined
+        check_listing(5, 3, 3, [(0, 2), (2, 3)], [(0, 1, 0, 0, 2)])
+
+    def test_second_reuse_joins_a_block_opened_between_the_reuses(self):
+        # 1 joins block 0, 2 opens block 1 and 4 joins it
+        check_listing(5, 3, 3, [(0, 1), (2, 4)], [(0, 0, 1, 2, 1)])
+        check_listing(6, 4, 4, [(0, 1), (2, 5)], [(0, 0, 1, 2, 3, 1)])
+
+    def test_one_and_two_reuse_completions_interleave(self):
+        # lo < hi: a completion with one reuse comes last in its (p1, b1)
+        # group and before the groups of later first reuses
+        survivors = check_listing(5, 3, 4, [(0, 1, 2)])
+        one, two = survivors.index((0, 0, 1, 2, 3)), survivors.index((0, 1, 0, 0, 2))
+        assert survivors[one - 1] == (0, 0, 1, 2, 2) and one < two
+        assert len(survivors) == 19
+
+    def test_listed_nodes_with_no_open_cut_differ_in_blocks(self):
+        # no cuts and hi = 4: every listed node has the same (empty) set of
+        # open cuts, but they differ in position and block count, and any
+        # listing memoised on the open cuts alone would mix them up
+        check_listing(9, 0, 4, [])
+
+
 class TestPruningNodeCount:
-    """The survivors and `skipped` stay exact even when a pruning rule is
-    dropped (the finishing test still catches every rainbow cut), so the
-    amount of pruning is pinned by the nodes the recursion visits."""
+    """The survivors and `skipped` stay exact whether a node is walked
+    position by position or its completions are listed (the finishing test
+    still catches every rainbow cut), so the amount of work is pinned by
+    the calls of `rec` (nodes walked) and of `tail` (nodes listed)."""
 
     @staticmethod
-    def counted(run):
-        """The number of calls of `rec` while run() runs, and its result."""
-        return count_inner_calls(rainbow_pruned_partitions, run)
+    def counted(run, name="rec"):
+        """The number of calls of `name` while run() runs, and its result."""
+        return count_inner_calls(rainbow_pruned_partitions, run, name)
 
-    def nodes(self, m, lo, hi, cuts):
-        return self.counted(lambda: rainbow_pruned_partitions(m, lo, hi, cuts))
-
-    def test_k6_dichotomy_visits_10013_nodes(self):
+    def test_k6_dichotomy_walks_768_nodes_and_lists_3210(self):
         # the K6 verifier's call: the 15 edges of K6 (ordered by larger,
         # then smaller end) into exactly 10 blocks, one cut per 4-subset of
         # vertices (its 6 edge indices)
@@ -230,29 +265,45 @@ class TestPruningNodeCount:
             tuple(index[e] for e in combinations(sub, 2))
             for sub in combinations(range(1, 7), 4)
         ]
-        calls, (survivors, skipped) = self.nodes(15, 10, 10, cuts)
-        assert (len(survivors), skipped) == (70, 12662580)
-        assert calls == 10013
+        def run():
+            return rainbow_pruned_partitions(15, 10, 10, cuts)
 
-    @pytest.mark.parametrize("lower, visits, ces", [
-        pytest.param(0, (1, 10, 374), (0, 0, 0), id="at-the-threshold"),
-        pytest.param(1, (7, 50, 1478), (3, 15, 105), id="threshold-lowered-by-one"),
+        walked, (survivors, skipped) = self.counted(run)
+        listed, _ = self.counted(run, "tail")
+        assert (len(survivors), skipped) == (70, 12662580)
+        assert (walked, listed) == (768, 3210)
+        # the 70 survivors, their content and their order
+        assert hashlib.sha256(repr(survivors).encode()).hexdigest() == (
+            "65283961303a7ea641cef4883d56c68e784b0cb93c5f9ce99d7c2e87607e81d9"
+        )
+
+    @pytest.mark.parametrize("lower, walked, listed, ces", [
+        pytest.param(0, (0, 0, 101), (1, 7, 194), (0, 0, 0), id="at-the-threshold"),
+        pytest.param(
+            1, (0, 4, 329), (1, 11, 615), (3, 15, 105), id="threshold-lowered-by-one"
+        ),
     ])
-    def test_triangle_verifier_nodes(self, lower, visits, ces, monkeypatch):
+    def test_triangle_verifier_nodes(self, lower, walked, listed, ces, monkeypatch):
         # summed over the verifier's calls, one per edge subset of K_n for
         # n = 3, 4, 5; one below the threshold colorings without a rainbow
         # triangle survive
         monkeypatch.setattr(
             verify, "thresholds", lambda n, k: tuple(t - lower for t in thresholds(n, k))
         )
-        found = [self.counted(lambda: verify.verify_triangle_threshold(n)) for n in (3, 4, 5)]
-        assert [calls for calls, _ in found] == list(visits)
-        assert [len(report.counterexamples) for _, report in found] == list(ces)
+        for name, expect in (("rec", walked), ("tail", listed)):
+            found = [
+                self.counted(lambda: verify.verify_triangle_threshold(n), name)
+                for n in (3, 4, 5)
+            ]
+            assert [calls for calls, _ in found] == list(expect)
+            assert [len(report.counterexamples) for _, report in found] == list(ces)
 
-    def test_one_reuse_rule_skips_the_only_child_of_the_root(self):
-        # lo = m - 1 leaves one reuse below the root's child 0; the open cuts
-        # share only position 4, and (2, 3, 4) holds no block yet, so the
-        # child is skipped before any cut finishes
-        calls, (survivors, skipped) = self.nodes(5, 4, 4, [(0, 1, 4), (2, 3, 4)])
-        assert (survivors, skipped) == ([], stirling2(5, 4))
-        assert calls == 1
+    def test_a_root_with_one_reuse_left_is_listed_without_a_walk(self):
+        # lo = m - 1 leaves one reuse at the root, so the reuse must be 4,
+        # the only position both cuts hold; 0..3 open the blocks it can
+        # join, and none of them holds both cuts, so nothing is listed
+        cuts = [(0, 1, 4), (2, 3, 4)]
+        for name, calls in (("rec", 0), ("tail", 1)):
+            assert self.counted(
+                lambda: rainbow_pruned_partitions(5, 4, 4, cuts), name
+            ) == (calls, ([], stirling2(5, 4)))
