@@ -138,8 +138,10 @@ def induced_subgraph(g: ColoredGraph, keep: Iterable[int]) -> ColoredGraph:
     ks = sorted(set(keep))
     if not ks:
         raise ValueError("keep set must be nonempty")
-    if ks[0] < 1 or ks[-1] > g.n:
-        raise ValueError(f"vertex out of range in keep set: {ks[0] if ks[0] < 1 else ks[-1]}")
+    # membership, not bounds: a float such as 2.5 is no vertex either
+    bad = [v for v in ks if v not in range(1, g.n + 1)]
+    if bad:
+        raise ValueError(f"vertex out of range in keep set: {bad[0] if bad[0] < 1 else bad[-1]}")
     relabel = {v: i + 1 for i, v in enumerate(ks)}
     colors = {}
     for (u, v), c in g.colors.items():
@@ -150,7 +152,7 @@ def induced_subgraph(g: ColoredGraph, keep: Iterable[int]) -> ColoredGraph:
 
 def delete_vertex(g: ColoredGraph, v: int) -> ColoredGraph:
     """G - v with order-preserving relabeling."""
-    if not 1 <= v <= g.n:
+    if v not in range(1, g.n + 1):
         raise ValueError(f"vertex out of range: {v} not in 1..{g.n}")
     return induced_subgraph(g, [u for u in range(1, g.n + 1) if u != v])
 

@@ -61,12 +61,14 @@ def rainbow_pruned_partitions(
     positions reuses a block, i.e. joins a block opened at an earlier
     position that holds another of its elements.  Reaching lo blocks needs
     lo - blocks of the remaining positions to open new blocks, which leaves
-    at most r reuses.  A node with r <= 2 is not walked position by
-    position: its surviving completions are listed directly, by first reuse
-    p1 and its block b1, then second reuse p2 and its block b2.  Every open
-    cut needs a reuse at one of its positions, so the open cuts that do not
-    hold p1 must all hold p2, a later position, and p2 must join a block
-    that holds all of them.  The first reuse may lie in no cut: it can join
+    at most r reuses, and the one recursion passes r down: joining a used
+    block spends a reuse, and so does opening a block once lo blocks are
+    reached.  A node with r >= 3 walks its position; a node with r <= 2
+    lists its surviving completions directly, by first reuse p1 and its
+    block b1, then second reuse p2 and its block b2.  Every open cut needs
+    a reuse at one of its positions, so the open cuts that do not hold p1
+    must all hold p2, a later position, and p2 must join a block that holds
+    all of them.  The first reuse may lie in no cut: it can join
     any block, such as one opened just before it.  In each (p1, b1) group
     the completion with fewer reuses comes last, which keeps the list in
     lexicographic order.  A listed node adds its count-table size minus the
@@ -119,11 +121,30 @@ def rainbow_pruned_partitions(
             common[open_cuts] = need
         return need
 
-    def tail(pos: int, blocks: int, broken: int, most: int) -> None:
-        """List the surviving completions of a node with at most `most` <= 2
-        reuses left, by (first reuse p1, its block b1, second reuse p2, its
-        block b2), in lexicographic order."""
+    def rec(pos: int, blocks: int, broken: int, most: int) -> None:
+        """The node that has put positions 0..pos-1 in `blocks` blocks and
+        has `most` reuses left: walk position pos, or list the surviving
+        completions once most <= 2."""
         nonlocal skipped
+        if most > 2:
+            done = finish[pos]
+            here = at[pos]
+            sizes = counts[m - pos - 1]
+            # b == blocks opens a new block: it holds no cut yet, so it
+            # breaks none, and it spends a reuse only once lo blocks are open
+            for b in range(min(blocks + 1, hi)):
+                opens = b == blocks
+                was = held[b]
+                now = broken | was & here
+                if done & ~now:
+                    # a cut finished here unbroken, so rainbow
+                    skipped += sizes[blocks + opens]
+                    continue
+                rgs[pos] = b
+                held[b] = was | here
+                rec(pos + 1, blocks + opens, now, most - (not opens or blocks >= lo))
+                held[b] = was
+            return
         left = m - pos
         least = blocks + left - hi  # fewer reuses would pass hi blocks
         found = len(survivors)
@@ -176,51 +197,7 @@ def rainbow_pruned_partitions(
             survivors.append(head + fresh)
         skipped += counts[left][blocks] - (len(survivors) - found)
 
-    # every node keeps blocks + (m - pos) >= lo, so lo stays reachable, and
-    # has more than two reuses left, since tail() lists the others
-    def rec(pos: int, blocks: int, broken: int) -> None:
-        nonlocal skipped
-        done = finish[pos]
-        here = at[pos]
-        left = m - pos - 1
-        sizes = counts[left]
-        if blocks + left >= lo:
-            # join a used block
-            size = sizes[blocks]
-            most = left - max(lo - blocks, 0)
-            for b in range(blocks):
-                was = held[b]
-                now = broken | was & here
-                if done & ~now:
-                    # a cut finished here unbroken, so rainbow
-                    skipped += size
-                    continue
-                rgs[pos] = b
-                held[b] = was | here
-                if most <= 2:
-                    tail(pos + 1, blocks, now, most)
-                else:
-                    rec(pos + 1, blocks, now)
-                held[b] = was
-        if blocks < hi:
-            # open a new block, which breaks no cut
-            if done & ~broken:
-                skipped += sizes[blocks + 1]
-                return
-            rgs[pos] = blocks
-            held[blocks] = here
-            most = left - max(lo - blocks - 1, 0)
-            if most <= 2:
-                tail(pos + 1, blocks + 1, broken, most)
-            else:
-                rec(pos + 1, blocks + 1, broken)
-            held[blocks] = 0
-
-    most = m - max(lo, 0)
-    if most <= 2:
-        tail(0, 0, 0, most)
-    else:
-        rec(0, 0, 0)
+    rec(0, 0, 0, m - max(lo, 0))
     del rec  # the closure names itself: a cycle that would keep the tables
     return survivors, skipped
 

@@ -1,11 +1,15 @@
 """Exact detection and counting of rainbow, monochromatic, and properly
 colored patterns in edge-colored graphs.
 
-Every finder returns None or a Witness.  When several witnesses exist, the
-one with the lexicographically smallest vertex list (under the canonical
-orientation of the pattern) is returned, and validate_witness re-checks it
-against the host graph.  count_rainbow_cliques counts exactly and states its
-algorithm.
+Every finder returns None or a Witness, which validate_witness re-checks
+against the host graph.  When several witnesses exist, every finder but
+find_rainbow_turan returns the one with the lexicographically smallest vertex
+list (under the canonical orientation of the pattern).  find_rainbow_turan
+returns the first rainbow partition in `_balanced_partitions` order, which
+need not have the smallest vertex list: the part holding the least unplaced
+vertex is chosen first, larger sizes before smaller ones, and each part's
+members follow `combinations` order.  count_rainbow_cliques counts exactly
+and states its algorithm.
 """
 
 from __future__ import annotations
@@ -320,7 +324,10 @@ def find_rainbow_complete_bipartite(g: ColoredGraph, a: int, b: int) -> Witness 
 def find_rainbow_turan(g: ColoredGraph, r: int) -> Witness | None:
     """A balanced r-partition of V(G) whose cross edges all exist with
     pairwise distinct colors, or None.  Exhaustive over balanced partitions;
-    the witness lists its parts by their smallest vertex."""
+    the first rainbow one in `_balanced_partitions` order is returned (the
+    part holding the least unplaced vertex first, larger sizes before
+    smaller ones, members in `combinations` order), so the witness lists
+    its parts by their smallest vertex."""
     if not (1 <= r <= g.n):
         raise ValueError(f"part count must satisfy 1 <= r <= n, got r={r}")
     splits = _balanced_partitions(g.n, turan_partition(g.n, r))

@@ -181,10 +181,11 @@ _K6_EDGES = sorted(combinations(range(1, 7), 2), key=lambda e: (e[1], e[0]))
 def verify_k6_dichotomy() -> VerificationReport:
     """Enumerate all set partitions of the 15 edges of K6 into exactly 10
     classes.  Any coloring with a rainbow K4 satisfies the lemma vacuously,
-    so a subtree is skipped (with its size counted exactly) once a completed
-    4-subset is rainbow, and once at most two block reuses are left the
-    enumerator lists the completions with no rainbow 4-subset directly
-    (both through _colorings_without_rainbow, as in the triangle verifier).
+    so the enumerator's one recursion skips a subtree (with its size counted
+    exactly) once a completed 4-subset is rainbow, and at a node with at
+    most two block reuses left it lists the completions with no rainbow
+    4-subset directly instead of walking on (both through
+    _colorings_without_rainbow, as in the triangle verifier).
     Each surviving coloring must have saturation tallies (c_2,c_1,c_0) =
     (9,0,1) and contain a rainbow T_{6,2} or a monochromatic C_6."""
     t0 = time.perf_counter()

@@ -29,9 +29,10 @@ def random_complete_colored_graph(rng: random.Random, n: int, palette: int) -> C
     return ColoredGraph(n, colors)
 
 
-def count_inner_calls(outer, run, name="rec"):
+def count_inner_calls(outer, run, name="rec", where=None):
     """The number of calls of the closure `name` defined in the function
-    `outer` while run() runs, and run()'s result."""
+    `outer` while run() runs, and run()'s result.  With `where`, only the
+    calls whose arguments, as the frame's locals, satisfy it count."""
     code = next(
         c for c in outer.__code__.co_consts
         if isinstance(c, CodeType) and c.co_name == name
@@ -40,7 +41,7 @@ def count_inner_calls(outer, run, name="rec"):
 
     def tracer(frame, event, arg):
         nonlocal calls
-        if frame.f_code is code:
+        if frame.f_code is code and (where is None or where(frame.f_locals)):
             calls += 1
 
     old = sys.gettrace()

@@ -266,14 +266,18 @@ class TestInducedSubgraph:
         with pytest.raises(ValueError):
             induced_subgraph(rainbow_k4(), [])
 
-    @pytest.mark.parametrize("v", [0, 5, -1])
+    @pytest.mark.parametrize("v", [0, 5, -1, 2.5])
     def test_delete_vertex_out_of_range(self, v):
+        # 2.5 lies between 1 and 4 but is no vertex: it once returned the
+        # input graph unchanged
         with pytest.raises(ValueError, match=rf"^vertex out of range: {v} not in 1\.\.4$"):
-            delete_vertex(rainbow_k4(), v)
+            delete_vertex(lexicographic(4), v)
 
-    def test_out_of_range_keep(self):
-        with pytest.raises(ValueError):
-            induced_subgraph(rainbow_k4(), [1, 5])
+    @pytest.mark.parametrize("keep, v", [([1, 5], 5), ([0, 2], 0), ([1, 2.5, 3], 2.5)])
+    def test_out_of_range_keep(self, keep, v):
+        # [1, 2.5, 3] once gave K3 with 2.5 as an isolated vertex 2
+        with pytest.raises(ValueError, match=rf"^vertex out of range in keep set: {v}$"):
+            induced_subgraph(lexicographic(4), keep)
 
 
 class TestSaturation:

@@ -152,6 +152,22 @@ class TestAllPartitions:
                     stirling2(m, r) for r in range(lo, hi + 1)
                 )
 
+    def test_lo_below_zero_and_hi_past_m_change_nothing(self):
+        # every RGS of length m has 0..m blocks, so lo < 0 reads as lo = 0
+        # and hi > m as hi = m, in the survivors and in `skipped`; the root's
+        # reuse budget m - max(lo, 0) and the new-block rule rely on the first
+        rng = random.Random(27)
+        for _ in range(300):
+            m = rng.randint(0, 9)
+            lo, hi = rng.randint(0, m), rng.randint(0, m)
+            cuts = [random_cut(rng, m) for _ in range(rng.randint(0, 6) if m else 0)]
+            assert rainbow_pruned_partitions(
+                m, rng.randint(-3, -1), hi, cuts
+            ) == rainbow_pruned_partitions(m, 0, hi, cuts)
+            assert rainbow_pruned_partitions(
+                m, lo, m + rng.randint(1, 3), cuts
+            ) == rainbow_pruned_partitions(m, lo, m, cuts)
+
     @pytest.mark.parametrize("m", range(9, 13))
     def test_matches_the_cut_free_list_filtered_past_m8(self, m):
         # lo >= m - 3 leaves at most three reuses, so the completions below
@@ -208,7 +224,7 @@ class TestOneReuseLeft:
         assert (0, 1, 1, 2, 1) in rainbow_pruned_partitions(5, 3, 4, cuts)[0]
 
 
-class TestTwoReuseTail:
+class TestTwoReusesLeft:
     """With at most two reuses left the completions are listed by (first
     reuse p1, its block b1, second reuse p2, its block b2)."""
 
@@ -248,12 +264,16 @@ class TestPruningNodeCount:
     """The survivors and `skipped` stay exact whether a node is walked
     position by position or its completions are listed (the finishing test
     still catches every rainbow cut), so the amount of work is pinned by
-    the calls of `rec` (nodes walked) and of `tail` (nodes listed)."""
+    the calls of `rec`: with more than two reuses left a node is walked,
+    with at most two it is listed."""
 
     @staticmethod
-    def counted(run, name="rec"):
-        """The number of calls of `name` while run() runs, and its result."""
-        return count_inner_calls(rainbow_pruned_partitions, run, name)
+    def counted(run, walked):
+        """The number of nodes walked (or, with walked=False, listed) while
+        run() runs, and its result."""
+        return count_inner_calls(
+            rainbow_pruned_partitions, run, where=lambda args: (args["most"] > 2) == walked
+        )
 
     def test_k6_dichotomy_walks_768_nodes_and_lists_3210(self):
         # the K6 verifier's call: the 15 edges of K6 (ordered by larger,
@@ -268,8 +288,8 @@ class TestPruningNodeCount:
         def run():
             return rainbow_pruned_partitions(15, 10, 10, cuts)
 
-        walked, (survivors, skipped) = self.counted(run)
-        listed, _ = self.counted(run, "tail")
+        walked, (survivors, skipped) = self.counted(run, True)
+        listed, _ = self.counted(run, False)
         assert (len(survivors), skipped) == (70, 12662580)
         assert (walked, listed) == (768, 3210)
         # the 70 survivors, their content and their order
@@ -290,20 +310,32 @@ class TestPruningNodeCount:
         monkeypatch.setattr(
             verify, "thresholds", lambda n, k: tuple(t - lower for t in thresholds(n, k))
         )
-        for name, expect in (("rec", walked), ("tail", listed)):
+        for walk, expect in ((True, walked), (False, listed)):
             found = [
-                self.counted(lambda: verify.verify_triangle_threshold(n), name)
+                self.counted(lambda: verify.verify_triangle_threshold(n), walk)
                 for n in (3, 4, 5)
             ]
             assert [calls for calls, _ in found] == list(expect)
             assert [len(report.counterexamples) for _, report in found] == list(ces)
+
+    def test_lo_below_hi_walks_18_nodes_and_lists_24(self):
+        # with lo < hi a new block spends a reuse once lo blocks are open;
+        # counting it as free walks 27 nodes and lists 51 for the same result
+        cuts = [(0, 1, 2), (2, 3, 4), (4, 5, 6)]
+        def run():
+            return rainbow_pruned_partitions(7, 2, 5, cuts)
+
+        walked, (survivors, skipped) = self.counted(run, True)
+        listed, _ = self.counted(run, False)
+        assert (len(survivors), skipped) == (198, 656)
+        assert (walked, listed) == (18, 24)
 
     def test_a_root_with_one_reuse_left_is_listed_without_a_walk(self):
         # lo = m - 1 leaves one reuse at the root, so the reuse must be 4,
         # the only position both cuts hold; 0..3 open the blocks it can
         # join, and none of them holds both cuts, so nothing is listed
         cuts = [(0, 1, 4), (2, 3, 4)]
-        for name, calls in (("rec", 0), ("tail", 1)):
+        for walk, calls in ((True, 0), (False, 1)):
             assert self.counted(
-                lambda: rainbow_pruned_partitions(5, 4, 4, cuts), name
+                lambda: rainbow_pruned_partitions(5, 4, 4, cuts), walk
             ) == (calls, ([], stirling2(5, 4)))

@@ -371,6 +371,23 @@ class TestRainbowTuran:
         with pytest.raises(ValueError):
             find_rainbow_turan(rainbow_complete(4), 5)
 
+    def test_witness_is_the_first_rainbow_split_in_partition_order(self):
+        # K8 with its own color on each pair, except that 67 repeats 14's:
+        # 12 | 345 | 678 is rainbow with vertex list 1..8, yet parts of the
+        # larger size 3 are tried first for 1, and 123 | 458 | 67 is the
+        # first rainbow split in that order
+        colors = {e: i + 1 for i, e in enumerate(combinations(range(1, 9), 2))}
+        colors[6, 7] = colors[1, 4]
+        g = ColoredGraph(8, colors)
+        w = find_rainbow_turan(g, 3)
+        assert (w.vertices, w.parts) == ((1, 2, 3, 4, 5, 8, 6, 7), (3, 3, 2))
+        assert validate_witness(g, w)
+        least = [(1, 2), (3, 4, 5), (6, 7, 8)]
+        cross = [
+            colors[u, v] for i, a in enumerate(least) for b in least[i + 1:] for u in a for v in b
+        ]
+        assert len(set(cross)) == len(cross) == 21
+
 
 class TestMonochromaticCycle:
     def test_mono_k3(self):
