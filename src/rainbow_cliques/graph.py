@@ -132,14 +132,19 @@ def is_complete(g: ColoredGraph) -> bool:
     return g.e == g.n * (g.n - 1) // 2
 
 
+def _is_vertex(g: ColoredGraph, v) -> bool:
+    """Whether v is a vertex of g: an int in 1..n.  A float such as 2.0 or
+    a bool (an int, but one ECG text cannot carry) is none."""
+    return type(v) is int and 1 <= v <= g.n
+
+
 def induced_subgraph(g: ColoredGraph, keep: Iterable[int]) -> ColoredGraph:
     """Subgraph on `keep`, vertices relabeled 1..|keep| preserving relative
     order; colors preserved verbatim."""
     ks = sorted(set(keep))
     if not ks:
         raise ValueError("keep set must be nonempty")
-    # membership, not bounds: a float such as 2.5 is no vertex either
-    bad = [v for v in ks if v not in range(1, g.n + 1)]
+    bad = [v for v in ks if not _is_vertex(g, v)]
     if bad:
         raise ValueError(f"vertex out of range in keep set: {bad[0] if bad[0] < 1 else bad[-1]}")
     relabel = {v: i + 1 for i, v in enumerate(ks)}
@@ -152,7 +157,7 @@ def induced_subgraph(g: ColoredGraph, keep: Iterable[int]) -> ColoredGraph:
 
 def delete_vertex(g: ColoredGraph, v: int) -> ColoredGraph:
     """G - v with order-preserving relabeling."""
-    if v not in range(1, g.n + 1):
+    if not _is_vertex(g, v):
         raise ValueError(f"vertex out of range: {v} not in 1..{g.n}")
     return induced_subgraph(g, [u for u in range(1, g.n + 1) if u != v])
 

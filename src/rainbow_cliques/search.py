@@ -4,12 +4,9 @@ colored patterns in edge-colored graphs.
 Every finder returns None or a Witness, which validate_witness re-checks
 against the host graph.  When several witnesses exist, every finder but
 find_rainbow_turan returns the one with the lexicographically smallest vertex
-list (under the canonical orientation of the pattern).  find_rainbow_turan
-returns the first rainbow partition in `_balanced_partitions` order, which
-need not have the smallest vertex list: the part holding the least unplaced
-vertex is chosen first, larger sizes before smaller ones, and each part's
-members follow `combinations` order.  count_rainbow_cliques counts exactly
-and states its algorithm.
+list (under the canonical orientation of the pattern); find_rainbow_turan's
+docstring states its order.  count_rainbow_cliques counts exactly and states
+its algorithm.
 """
 
 from __future__ import annotations
@@ -17,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations, islice
 
-from .graph import ColoredGraph, Witness
+from .graph import ColoredGraph, Witness, _is_vertex
 from .partitions import _balanced_partitions
 from .turan import turan_partition
 
@@ -40,16 +37,24 @@ def _cross(parts):
                     yield u, v
 
 
-def _ring(verts, closed: bool) -> list[tuple[int, int]]:
-    """Consecutive pairs of a path on `verts`; with `closed`, also the pair
-    that closes it into a cycle."""
-    return list(zip(verts, verts[1:] + verts[:1] if closed else verts[1:]))
+def _shape(kind: str, verts: tuple[int, ...], parts: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The vertex pairs of a `kind` witness on `verts`: with part sizes, the
+    cross pairs of the parts that `verts` lists in turn, in `_cross` order;
+    without, the ring through `verts`, closed unless `kind` is mono-path."""
+    if parts:
+        it = iter(verts)
+        return list(_cross([tuple(islice(it, size)) for size in parts]))
+    return list(zip(verts, verts[1:] if kind == "mono-path" else verts[1:] + verts[:1]))
 
 
-def _witness(g: ColoredGraph, kind: str, verts, pairs, parts=()) -> Witness:
+def _witness(g: ColoredGraph, kind: str, verts, parts=()) -> Witness:
+    """The `kind` witness on `verts`, split into parts of the sizes `parts`
+    if given: each pair of its `_shape` becomes an edge (u, v, color) with
+    u < v and its color in g."""
+    verts, parts = tuple(verts), tuple(parts)
     cm = g.color_matrix
-    edges = tuple((min(u, v), max(u, v), cm[u][v]) for u, v in pairs)
-    return Witness(kind, tuple(verts), edges, tuple(parts))
+    edges = tuple((min(u, v), max(u, v), cm[u][v]) for u, v in _shape(kind, verts, parts))
+    return Witness(kind, verts, edges, parts)
 
 
 def _first_rainbow_split(g: ColoredGraph, kind: str, splits) -> Witness | None:
@@ -65,7 +70,7 @@ def _first_rainbow_split(g: ColoredGraph, kind: str, splits) -> Witness | None:
             cols.add(col)
         else:
             verts = [v for part in parts for v in part]
-            return _witness(g, kind, verts, _cross(parts), map(len, parts))
+            return _witness(g, kind, verts, map(len, parts))
     return None
 
 
@@ -81,15 +86,12 @@ def _color_nbhds(g: ColoredGraph) -> list[dict[int, int]]:
     return at
 
 
-def _rainbow_cliques(
-    n: int, adj, cm, k: int, limit: int
-) -> tuple[int, tuple[int, ...] | None]:
-    """Count the k-cliques whose C(k,2) edges have pairwise distinct colors,
-    in lexicographic order of their vertex lists, stopping once `limit` (at
-    least 1) are found.  The graph on 1..n is given by its adjacency masks
-    and color matrix, as `ColoredGraph.adj` and `.color_matrix` hold them.
-    Returns the count and, if the search stopped at `limit`, the clique it
-    stopped at (so the first one for limit=1).
+def _rainbow_cliques(adj, cm, k: int, limit: int) -> list[tuple[int, ...]]:
+    """The first `limit` (at least 1) k-cliques whose C(k,2) edges have
+    pairwise distinct colors, in lexicographic order of their vertex lists,
+    or all of them if there are fewer.  The graph on 1..n, n = len(adj) - 1,
+    is given by its adjacency masks and color matrix, as `ColoredGraph.adj`
+    and `.color_matrix` hold them.
 
     The clique grows in increasing order, so a candidate v is checked
     against members u < v only: the search reads cm[v][u] with u < v and
@@ -100,12 +102,13 @@ def _rainbow_cliques(
         raise ValueError(f"clique size must be positive, got k={k}")
     if limit < 1:
         raise ValueError(f"limit must be positive, got limit={limit}")
+    n = len(adj) - 1
+    found: list[tuple[int, ...]] = []
     if k > n:
-        return 0, None
+        return found
 
-    def rec(clique: list[int], cand: int, used: set[int], budget: int) -> int:
-        # on reaching the budget, returns without undoing `clique`
-        total = 0
+    def rec(clique: list[int], cand: int, used: set[int]) -> bool:
+        # True once `limit` cliques are found
         last = len(clique) == k - 1
         # each round takes the lowest vertex v out of cand, which leaves the
         # candidates above v
@@ -122,33 +125,28 @@ def _rainbow_cliques(
                 new.append(col)
             else:
                 if last:
-                    total += 1
-                    if total == budget:
-                        clique.append(v)
-                        return total
+                    found.append((*clique, v))
+                    if len(found) == limit:
+                        return True
                     continue
                 used.update(new)
                 clique.append(v)
-                total += rec(clique, cand & adj[v], used, budget - total)
-                if total == budget:
-                    return total
+                if rec(clique, cand & adj[v], used):
+                    return True
                 clique.pop()
                 used.difference_update(new)
-        return total
+        return False
 
-    clique: list[int] = []
-    count = rec(clique, (1 << (n + 1)) - 2, set(), limit)
+    rec([], (1 << (n + 1)) - 2, set())
     del rec  # the closure names itself
-    return count, (tuple(clique) if clique else None)
+    return found
 
 
 def find_rainbow_clique(g: ColoredGraph, k: int) -> Witness | None:
     """First k-clique (lexicographically smallest vertex list) whose C(k,2)
     edges have pairwise distinct colors, or None."""
-    _, verts = _rainbow_cliques(g.n, g.adj, g.color_matrix, k, 1)
-    if verts is None:
-        return None
-    return _witness(g, "rainbow-clique", verts, _cross([(v,) for v in verts]), (1,) * k)
+    found = _rainbow_cliques(g.adj, g.color_matrix, k, 1)
+    return _witness(g, "rainbow-clique", found[0], (1,) * k) if found else None
 
 
 def count_rainbow_cliques(g: ColoredGraph, k: int) -> int:
@@ -334,6 +332,21 @@ def find_rainbow_turan(g: ColoredGraph, r: int) -> Witness | None:
     return _first_rainbow_split(g, "rainbow-turan", splits)
 
 
+def _mono_extend(at, cm, path: list[int], nverts: int, closed: bool, c: int, seen: int) -> bool:
+    """Extend `path` over c-edges (`at` as `_color_nbhds` gives them) to new
+    vertices outside `seen` until it has `nverts`, closing it with `closed`.
+    True leaves the hit in `path`; False leaves `path` as it was."""
+    last = path[-1]
+    if len(path) == nverts:
+        return not closed or cm[last][path[0]] == c
+    for v in _iter_bits(at[last].get(c, 0) & ~seen):
+        path.append(v)
+        if _mono_extend(at, cm, path, nverts, closed, c, seen | 1 << v):
+            return True
+        path.pop()
+    return False
+
+
 def _mono_walk(g: ColoredGraph, nverts: int, closed: bool) -> list[int] | None:
     """Lexicographically first walk on `nverts` distinct vertices whose edges
     all share one color, or None.  With `closed` it is a cycle: the closing
@@ -347,33 +360,15 @@ def _mono_walk(g: ColoredGraph, nverts: int, closed: bool) -> list[int] | None:
     every edge at its start, in the same increasing order."""
     cm = g.color_matrix
     at = _color_nbhds(g)
-    path: list[int] = []
-
-    def rec(last: int, seen: int, c: int) -> bool:
-        if len(path) == nverts:
-            return not closed or cm[last][path[0]] == c
-        for v in _iter_bits(at[last].get(c, 0) & ~seen):
-            path.append(v)
-            if rec(v, seen | 1 << v, c):
-                return True
-            path.pop()
-        return False
-
-    try:
-        for start in range(1, g.n + 1):
-            # a cycle through a smaller vertex was tried from that vertex
-            seen = (1 << (start + 1)) - 1 if closed else 1 << start
-            path.append(start)
-            first = sum(at[start].values()) if nverts >= 3 else g.adj[start]
-            for v in _iter_bits(first & ~seen):
-                path.append(v)
-                if rec(v, seen | 1 << v, cm[start][v]):
-                    return path
-                path.pop()
-            path.pop()
-        return None
-    finally:
-        del rec  # the closure names itself
+    for start in range(1, g.n + 1):
+        # a cycle through a smaller vertex was tried from that vertex
+        seen = (1 << (start + 1)) - 1 if closed else 1 << start
+        first = sum(at[start].values()) if nverts >= 3 else g.adj[start]
+        for v in _iter_bits(first & ~seen):
+            path = [start, v]
+            if _mono_extend(at, cm, path, nverts, closed, cm[start][v], seen | 1 << v):
+                return path
+    return None
 
 
 def find_monochromatic_cycle(g: ColoredGraph, length: int) -> Witness | None:
@@ -385,7 +380,7 @@ def find_monochromatic_cycle(g: ColoredGraph, length: int) -> Witness | None:
     if length > g.n:
         return None
     found = _mono_walk(g, length, True)
-    return None if found is None else _witness(g, "mono-cycle", found, _ring(found, True))
+    return None if found is None else _witness(g, "mono-cycle", found)
 
 
 def find_monochromatic_path(g: ColoredGraph, nverts: int) -> Witness | None:
@@ -396,7 +391,7 @@ def find_monochromatic_path(g: ColoredGraph, nverts: int) -> Witness | None:
     if nverts > g.n:
         return None
     found = _mono_walk(g, nverts, False)
-    return None if found is None else _witness(g, "mono-path", found, _ring(found, False))
+    return None if found is None else _witness(g, "mono-path", found)
 
 
 def find_properly_colored_c4(g: ColoredGraph) -> Witness | None:
@@ -416,8 +411,7 @@ def find_properly_colored_c4(g: ColoredGraph) -> Witness | None:
                     ccd = cm[c][d]
                     cda = cm[d][a]
                     if ccd != cbc and ccd != cda and cda != cab:
-                        verts = (a, b, c, d)
-                        return _witness(g, "proper-c4", verts, _ring(verts, True))
+                        return _witness(g, "proper-c4", (a, b, c, d))
     return None
 
 
@@ -428,43 +422,42 @@ def validate_witness(g: ColoredGraph, w: Witness) -> bool:
     """Re-check a witness against its host graph: `vertices` are distinct
     vertices of g, its edges are exactly the pattern's edges on them, each an
     edge of g with its color in g, and the colors satisfy the predicate of
-    `kind`.  A multipartite witness is split into parts by `w.parts` (all 1
+    `kind`.  Vertices, edge ends and part sizes must be ints, not floats or
+    bools that compare equal to one.  A multipartite witness is split into parts by `w.parts` (all 1
     for a clique, two parts for a bipartite one, the balanced sizes of
     len(w.parts) parts on all of V(G) for a Turan one), so the expected
     edges never come from the edges being checked."""
-    verts, parts = w.vertices, w.parts
-    if not verts or len(set(verts)) != len(verts) or not all(1 <= v <= g.n for v in verts):
+    verts, parts, kind = w.vertices, w.parts, w.kind
+    if not verts or len(set(verts)) != len(verts) or not all(_is_vertex(g, v) for v in verts):
         return False
-    if any(c is None or g.color_of(u, v) != c for u, v, c in w.edges):
-        return False
-    if w.kind in ("rainbow-clique", "rainbow-bipartite", "rainbow-turan"):
-        if sum(parts) != len(verts) or min(parts) < 1:
+    for u, v, c in w.edges:
+        if not (_is_vertex(g, u) and _is_vertex(g, v)) or c is None or g.color_of(u, v) != c:
             return False
-        if w.kind == "rainbow-clique" and max(parts) != 1:
+    if kind in ("rainbow-clique", "rainbow-bipartite", "rainbow-turan"):
+        if not all(type(s) is int for s in parts) or sum(parts) != len(verts) or min(parts) < 1:
             return False
-        if w.kind == "rainbow-bipartite" and len(parts) != 2:
+        if kind == "rainbow-clique" and max(parts) != 1:
             return False
-        if w.kind == "rainbow-turan" and (
+        if kind == "rainbow-bipartite" and len(parts) != 2:
+            return False
+        if kind == "rainbow-turan" and (
             sorted(verts) != list(range(1, g.n + 1))
             or tuple(sorted(parts, reverse=True)) != turan_partition(g.n, len(parts))
         ):
             return False
-        it = iter(verts)
-        expected = list(_cross([tuple(islice(it, size)) for size in parts]))
-    elif parts:
+    elif parts or not (
+        kind == "mono-cycle" and len(verts) >= 3
+        or kind == "proper-c4" and len(verts) == 4
+        or kind == "mono-path" and len(verts) >= 2
+    ):
         return False
-    elif w.kind == "mono-cycle" and len(verts) >= 3 or w.kind == "proper-c4" and len(verts) == 4:
-        expected = _ring(verts, True)
-    elif w.kind == "mono-path" and len(verts) >= 2:
-        expected = _ring(verts, False)
-    else:
-        return False
+    expected = _shape(kind, verts, parts)
     pairs = {(min(u, v), max(u, v)) for u, v, _ in w.edges}
     if len(w.edges) != len(expected) or pairs != {(min(u, v), max(u, v)) for u, v in expected}:
         return False
     cols = [g.color_of(u, v) for u, v in expected]
-    if w.kind.startswith("rainbow-"):
+    if kind.startswith("rainbow-"):
         return len(set(cols)) == len(cols)
-    if w.kind.startswith("mono-"):
+    if kind.startswith("mono-"):
         return len(set(cols)) == 1
     return all(cols[i] != cols[i - 1] for i in range(4))

@@ -427,7 +427,7 @@ def falsify_two_cliques(
         for (u, v), c in zip(all_edges, colors):
             cm[v][u] = c
         # stop at a second rainbow K_k: only exactly one is a counterexample
-        if _rainbow_cliques(n, adj, cm, k, 2)[0] == 1:
+        if len(_rainbow_cliques(adj, cm, k, 2)) == 1:
             ces.append(ColoredGraph(n, dict(zip(all_edges, colors))))
     return VerificationReport(
         f"two-cliques-k{k}-n{n}", trials, ces, time.perf_counter() - t0

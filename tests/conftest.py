@@ -31,9 +31,10 @@ def random_complete_colored_graph(rng: random.Random, n: int, palette: int) -> C
 
 def count_inner_calls(outer, run, name="rec", where=None):
     """The number of calls of the closure `name` defined in the function
-    `outer` while run() runs, and run()'s result.  With `where`, only the
-    calls whose arguments, as the frame's locals, satisfy it count."""
-    code = next(
+    `outer` (of `outer` itself with name=None) while run() runs, and run()'s
+    result.  With `where`, only the calls whose arguments, as the frame's
+    locals, satisfy it count."""
+    code = outer.__code__ if name is None else next(
         c for c in outer.__code__.co_consts
         if isinstance(c, CodeType) and c.co_name == name
     )

@@ -266,16 +266,20 @@ class TestInducedSubgraph:
         with pytest.raises(ValueError):
             induced_subgraph(rainbow_k4(), [])
 
-    @pytest.mark.parametrize("v", [0, 5, -1, 2.5])
+    @pytest.mark.parametrize("v", [0, 5, -1, 2.5, True, 2.0])
     def test_delete_vertex_out_of_range(self, v):
         # 2.5 lies between 1 and 4 but is no vertex: it once returned the
-        # input graph unchanged
+        # input graph unchanged; True and 2.0 equal a vertex but are no int
+        # one, and were once deleted as 1 and 2
         with pytest.raises(ValueError, match=rf"^vertex out of range: {v} not in 1\.\.4$"):
             delete_vertex(lexicographic(4), v)
 
-    @pytest.mark.parametrize("keep, v", [([1, 5], 5), ([0, 2], 0), ([1, 2.5, 3], 2.5)])
+    @pytest.mark.parametrize("keep, v", [
+        ([1, 5], 5), ([0, 2], 0), ([1, 2.5, 3], 2.5), ([True, 2, 3], True), ([1, 2.0, 3], 2.0),
+    ])
     def test_out_of_range_keep(self, keep, v):
-        # [1, 2.5, 3] once gave K3 with 2.5 as an isolated vertex 2
+        # [1, 2.5, 3] once gave K3 with 2.5 as an isolated vertex 2, and
+        # [True, 2, 3] a triangle on 1, 2, 3
         with pytest.raises(ValueError, match=rf"^vertex out of range in keep set: {v}$"):
             induced_subgraph(lexicographic(4), keep)
 

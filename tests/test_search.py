@@ -25,7 +25,7 @@ from rainbow_cliques import (
     validate_witness,
     Witness,
 )
-from rainbow_cliques.search import _mono_walk, _rainbow_cliques
+from rainbow_cliques.search import _mono_extend, _rainbow_cliques
 from conftest import count_inner_calls, random_colored_graph, random_complete_colored_graph
 from oracles import (
     count_rainbow_cliques_naive,
@@ -256,14 +256,12 @@ class TestCountRainbowCliques:
                 ]
                 assert len(cliques) == count_rainbow_cliques_naive(g, k)
                 for limit in (1, 2, 5):
-                    count, stop = _rainbow_cliques(g.n, g.adj, g.color_matrix, k, limit)
-                    assert count == min(len(cliques), limit)
-                    assert stop == (cliques[limit - 1] if len(cliques) >= limit else None)
+                    assert _rainbow_cliques(g.adj, g.color_matrix, k, limit) == cliques[:limit]
 
     def test_limit_must_be_positive(self):
         g = rainbow_complete(4)
         with pytest.raises(ValueError, match="limit must be positive"):
-            _rainbow_cliques(g.n, g.adj, g.color_matrix, 3, 0)
+            _rainbow_cliques(g.adj, g.color_matrix, 3, 0)
 
     @staticmethod
     def stop_test_graphs():
@@ -285,13 +283,13 @@ class TestCountRainbowCliques:
         for g in self.stop_test_graphs():
             for k in range(1, 8):
                 want = min(count_rainbow_cliques(g, k), 2)
-                assert _rainbow_cliques(g.n, g.adj, g.color_matrix, k, 2)[0] == want
+                assert len(_rainbow_cliques(g.adj, g.color_matrix, k, 2)) == want
                 seen.add(want)
         assert seen == {0, 1, 2}
 
     def test_limit_search_reads_only_the_lower_triangle(self):
         # the falsifier writes only cm[v][u] for u < v, so junk above the
-        # diagonal must not change a count or a stop
+        # diagonal must not change the cliques found
         for g in self.stop_test_graphs():
             lower = [
                 [c if u < v else -1 for u, c in enumerate(row)]
@@ -299,8 +297,8 @@ class TestCountRainbowCliques:
             ]
             for k in range(1, 8):
                 for limit in (1, 2, 5):
-                    assert _rainbow_cliques(g.n, g.adj, lower, k, limit) == _rainbow_cliques(
-                        g.n, g.adj, g.color_matrix, k, limit
+                    assert _rainbow_cliques(g.adj, lower, k, limit) == _rainbow_cliques(
+                        g.adj, g.color_matrix, k, limit
                     )
 
     def test_find_iff_count_positive(self):
@@ -428,14 +426,14 @@ class TestMonochromaticPath:
 
 class TestMonoWalkPruning:
     """A walk on three or more vertices starts only on an edge whose color
-    is on another edge too, pinned by the calls of the walk's `rec`."""
+    is on another edge too, pinned by the calls of `_mono_extend`."""
 
     def test_rainbow_k10_starts_no_walk(self):
         # all 45 colors distinct: trying every first edge made 90 calls
         # (path) and 45 (cycle, above the start only)
         g = rainbow_complete(10)
-        assert count_inner_calls(_mono_walk, lambda: find_monochromatic_path(g, 4)) == (0, None)
-        assert count_inner_calls(_mono_walk, lambda: find_monochromatic_cycle(g, 4)) == (0, None)
+        for find in (find_monochromatic_path, find_monochromatic_cycle):
+            assert count_inner_calls(_mono_extend, lambda: find(g, 4), name=None) == (0, None)
 
     def test_two_vertex_path_still_tries_every_edge(self):
         w = find_monochromatic_path(rainbow_complete(10), 2)
@@ -623,6 +621,23 @@ class TestWitnessValidation:
         # a valid witness with one field changed
         assert validate_witness(g, good)
         assert not validate_witness(g, replace(good, **change))
+
+    TRIANGLE = ColoredGraph(3, {(1, 2): 1, (1, 3): 2, (2, 3): 3})
+    RAINBOW_K3 = Witness("rainbow-clique", (1, 2, 3), ((1, 2, 1), (1, 3, 2), (2, 3, 3)), (1, 1, 1))
+
+    @pytest.mark.parametrize("change", [
+        pytest.param({"kind": "rainbow-bipartite", "parts": (2.0, 1)}, id="float-part-size"),
+        pytest.param({"parts": (True, True, True)}, id="bool-part-sizes"),
+        pytest.param({"vertices": (1, 2, "3")}, id="str-vertex"),
+        pytest.param({"vertices": (True, 2, 3)}, id="bool-vertex"),
+        pytest.param({"vertices": (1, 2.0, 3)}, id="float-vertex"),
+        pytest.param({"edges": ((1, 2.0, 1), (1, 3, 2), (2, 3, 3))}, id="float-edge-end"),
+    ])
+    def test_non_int_fields_rejected(self, change):
+        # each field equals a valid one, or made validate_witness raise (in
+        # islice, or comparing a str with an int) where the answer is False
+        assert validate_witness(self.TRIANGLE, self.RAINBOW_K3)
+        assert validate_witness(self.TRIANGLE, replace(self.RAINBOW_K3, **change)) is False
 
     @pytest.mark.parametrize("g, w", [
         pytest.param(
