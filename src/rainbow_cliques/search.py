@@ -423,15 +423,20 @@ def validate_witness(g: ColoredGraph, w: Witness) -> bool:
     vertices of g, its edges are exactly the pattern's edges on them, each an
     edge of g with its color in g, and the colors satisfy the predicate of
     `kind`.  Vertices, edge ends and part sizes must be ints, not floats or
-    bools that compare equal to one.  A multipartite witness is split into parts by `w.parts` (all 1
-    for a clique, two parts for a bipartite one, the balanced sizes of
-    len(w.parts) parts on all of V(G) for a Turan one), so the expected
-    edges never come from the edges being checked."""
+    bools that compare equal to one, and an edge's color must have the type
+    of its color in g as well as its value.  A multipartite witness is split
+    into parts by `w.parts` (all 1 for a clique, two parts for a bipartite
+    one, the balanced sizes of len(w.parts) parts on all of V(G) for a
+    Turan one), so the expected edges never come from the edges being
+    checked."""
     verts, parts, kind = w.vertices, w.parts, w.kind
     if not verts or len(set(verts)) != len(verts) or not all(_is_vertex(g, v) for v in verts):
         return False
     for u, v, c in w.edges:
-        if not (_is_vertex(g, u) and _is_vertex(g, v)) or c is None or g.color_of(u, v) != c:
+        if not (_is_vertex(g, u) and _is_vertex(g, v)):
+            return False
+        color = g.color_of(u, v)
+        if c is None or color != c or type(color) is not type(c):
             return False
     if kind in ("rainbow-clique", "rainbow-bipartite", "rainbow-turan"):
         if not all(type(s) is int for s in parts) or sum(parts) != len(verts) or min(parts) < 1:

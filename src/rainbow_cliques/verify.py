@@ -232,54 +232,73 @@ def _regular_graphs(
     only to later deficient vertices, so every edge has an end that is full
     once the edge is added: no edge ever joins two deficient vertices.  The
     completions of a partial graph therefore depend only on its state, the
-    tuple of (vertex, residual degree) over its deficient vertices, and each
-    state lists its completions once; the key keeps the vertex labels, since
-    the edges a completion adds depend on them.  The graphs come in the
-    order of plain backtracking over combinations.
+    residual degree of each vertex, and each state lists its completions
+    once; the state keeps the vertex labels, since the edges a completion
+    adds depend on them.  A state is one int holding vertex v's residual
+    degree in a field of w = max(d.bit_length(), 1) bits at bit w*v, so a
+    branch takes one subtraction per chosen neighbour (a residual is at
+    least 1 before it, so nothing borrows) and the memo looks up an int;
+    the empty state is 0.  The graphs come in the order of plain
+    backtracking over combinations.
 
     A completion holds every edge of the final graph between two vertices
     of its state, so a list whose vertices all lie in the state already has
     its final edge count there, and a completion short of 2 on such a list
-    is dropped once, in the memo.  Each completion carries per-list counts
-    saturated at 2 as two bitmasks over the lists (bit i of `ones`: list i
-    holds at least one of its edges; of `twos`: at least two), which
+    is dropped once, in the memo.  Those lists are the ones no vertex
+    outside the state lies on: `within` clears, from every list, the
+    `lists_at` mask of each full vertex.  Each completion carries per-list
+    counts saturated at 2 as two bitmasks over the lists (bit i of `ones`:
+    list i holds at least one of its edges; of `twos`: at least two), which
     compose by OR when a branch's edges are joined to a completion."""
     if n * d % 2 != 0 or d >= n:
         return 0, []
     bits = _pair_bits(n)
     holds = [[0] * (n + 1) for _ in range(n + 1)]  # holds[u][v]: the lists with uv
-    spans = []  # each list's vertices, as a vertex bitmask
+    lists_at = [0] * (n + 1)  # lists_at[v]: the lists with v among their vertices
     for i, pairs in enumerate(subsets):
-        span = 0
         for u, v in pairs:
             holds[u][v] |= 1 << i
-            span |= 1 << u | 1 << v
-        spans.append(span)
-    inside: dict[int, int] = {}  # vertex bitmask -> the lists within it
+            lists_at[u] |= 1 << i
+            lists_at[v] |= 1 << i
+    every = (1 << len(subsets)) - 1
+    w = max(d.bit_length(), 1)
+    unit = [1 << w * v for v in range(n + 1)]  # residual degree 1 at vertex v
+    low = sum(unit[1:])  # the low bit of every vertex's field
+    inside: dict[int, int] = {}  # deficient vertices (as low bits) -> the lists within them
     # state -> (graph count, kept (mask, ones, twos) completions)
-    memo: dict[tuple[tuple[int, int], ...], tuple[int, list]] = {(): (1, [(0, 0, 0)])}
+    memo: dict[int, tuple[int, list]] = {0: (1, [(0, 0, 0)])}
 
     def listed(state):
         got = memo.get(state)
         if got is None:
-            vertices = sum(1 << v for v, _ in state)
-            within = inside.get(vertices)
+            occ = state  # bit w*v is set when vertex v is deficient
+            for j in range(1, w):
+                occ |= state >> j
+            occ &= low
+            within = inside.get(occ)
             if within is None:
-                within = inside[vertices] = sum(
-                    1 << i for i, span in enumerate(spans) if span & vertices == span
-                )
-            (u, need), rest = state[0], state[1:]
+                within = every
+                for v in range(1, n + 1):
+                    if not occ & unit[v]:
+                        within &= ~lists_at[v]
+                inside[occ] = within
+            u = ((occ & -occ).bit_length() - 1) // w  # the smallest deficient vertex
+            need = state >> w * u & (1 << w) - 1
+            rest = [
+                (unit[v], bits[u][v], holds[u][v])
+                for v in range(u + 1, n + 1) if occ & unit[v]
+            ]
+            base = state - need * unit[u]
             count, kept = 0, []
-            for chosen in combinations(range(len(rest)), need):
+            for chosen in combinations(rest, need):
+                nxt = base
                 edges = oe = te = 0
-                nxt = list(rest)
-                for i in chosen:
-                    v, r = rest[i]
-                    edges |= bits[u][v]
-                    te |= oe & holds[u][v]
-                    oe |= holds[u][v]
-                    nxt[i] = (v, r - 1)
-                c, sub = listed(tuple(s for s in nxt if s[1]))
+                for one, bit, hold in chosen:
+                    nxt -= one
+                    edges |= bit
+                    te |= oe & hold
+                    oe |= hold
+                c, sub = listed(nxt)
                 count += c
                 for g, ones, twos in sub:
                     twos |= te | ones & oe
@@ -288,10 +307,9 @@ def _regular_graphs(
             got = memo[state] = count, kept
         return got
 
-    count, kept = listed(tuple((v, d) for v in range(1, n + 1)) if d else ())
+    count, kept = listed(d * low)
     del listed  # it names itself, so the memo would outlive the call
     # the seeded empty state is never checked: test every list here
-    every = (1 << len(spans)) - 1
     return count, [g for g, _, twos in kept if twos == every]
 
 

@@ -632,12 +632,20 @@ class TestWitnessValidation:
         pytest.param({"vertices": (True, 2, 3)}, id="bool-vertex"),
         pytest.param({"vertices": (1, 2.0, 3)}, id="float-vertex"),
         pytest.param({"edges": ((1, 2.0, 1), (1, 3, 2), (2, 3, 3))}, id="float-edge-end"),
+        pytest.param({"edges": ((1, 2, 1.0), (1, 3, 2), (2, 3, 3))}, id="float-edge-color"),
+        pytest.param({"edges": ((1, 2, True), (1, 3, 2), (2, 3, 3))}, id="bool-edge-color"),
     ])
     def test_non_int_fields_rejected(self, change):
         # each field equals a valid one, or made validate_witness raise (in
         # islice, or comparing a str with an int) where the answer is False
         assert validate_witness(self.TRIANGLE, self.RAINBOW_K3)
         assert validate_witness(self.TRIANGLE, replace(self.RAINBOW_K3, **change)) is False
+
+    def test_float_colors_validate(self):
+        # the color type test holds a witness to its graph's colors, whatever their type
+        g = ColoredGraph(3, {(1, 2): 1.0, (1, 3): 2.0, (2, 3): 3.0})
+        w = find_rainbow_clique(g, 3)
+        assert w is not None and validate_witness(g, w)
 
     @pytest.mark.parametrize("g, w", [
         pytest.param(

@@ -148,6 +148,17 @@ class TestRegularGraphEnumeration:
         graphs = _regular_graphs(n, d, ())[1]
         assert sha256(",".join(map(str, graphs))) == digest
 
+    @pytest.mark.parametrize("n, degrees", [
+        (8, range(8)),
+        (9, (0, 2, 6, 8)),  # d = 4 has 1,024,380 graphs: too slow for a unit test
+    ])
+    def test_complements_of_the_co_regular_graphs(self, n, degrees):
+        # d runs over residual fields of 1 to 4 bits
+        full = (1 << n * (n - 1) // 2) - 1
+        for d in degrees:
+            co = _regular_graphs(n, n - 1 - d, ())[1]
+            assert sorted(_regular_graphs(n, d, ())[1]) == sorted(full ^ g for g in co), d
+
 
 def pair_lists(n, rng):
     """Pair lists on 1..n for the differential test: the fixed edge cases,
@@ -208,30 +219,33 @@ class TestRegularGraphFilter:
                 ]
                 assert _regular_graphs(n, d, lists) == (len(graphs), expected), (d, lists)
 
-    @pytest.mark.parametrize("n, d, size, completions, digest", [
+    @pytest.mark.parametrize("n, d, size, states, completions, digest", [
         pytest.param(
-            9, 2, 5, 9354, "f58d9de67578ad981158aab45688d76a218b5c63381d1a2da686c4a1d86544e8",
+            9, 2, 5, 510, 9354, "f58d9de67578ad981158aab45688d76a218b5c63381d1a2da686c4a1d86544e8",
             id="k9",
         ),
         pytest.param(
-            8, 3, 4, 2118, "5deebc44e1cb03801e7bc18aa9553f81462306603ac5091161389997b4305655",
+            8, 3, 4, 735, 2118, "5deebc44e1cb03801e7bc18aa9553f81462306603ac5091161389997b4305655",
             id="k8",
         ),
         pytest.param(
-            9, 2, 0, 71346, "f1622dcb36e61394982bc56a6668c91de689be8487768ecf54090b31ad10ecd6",
+            9, 2, 0, 510, 71346, "f1622dcb36e61394982bc56a6668c91de689be8487768ecf54090b31ad10ecd6",
             id="k9-no-lists",
         ),
         pytest.param(
-            8, 3, 0, 44838, "6ddd6a664f75846b7c2d7f6566f73366d6c9bbf18fe1496dd19ce3f85629aa83",
+            8, 3, 0, 735, 44838, "6ddd6a664f75846b7c2d7f6566f73366d6c9bbf18fe1496dd19ce3f85629aa83",
             id="k8-no-lists",
         ),
     ])
-    def test_completions_kept_across_memo_states(self, n, d, size, completions, digest):
+    def test_completions_kept_across_memo_states(self, n, d, size, states, completions, digest):
         # the top-level check alone keeps the same graphs, so the pruning
         # inside the memo is pinned by the completions it keeps; the seeded
-        # empty state is not counted.  size 0 means no pair lists.
+        # empty state is counted among the states but its completion is
+        # not.  The state count shows the key neither splits nor merges
+        # states.  size 0 means no pair lists.
         lists = _subset_pairs(n, size) if size else ()
         memo, (_, graphs) = memo_at_return(lambda: _regular_graphs(n, d, lists))
+        assert len(memo) == states
         assert sum(len(kept) for state, (_, kept) in memo.items() if state) == completions
         assert sha256(",".join(map(str, graphs))) == digest
 
