@@ -68,16 +68,19 @@ def rainbow_pruned_partitions(
     block b1, then second reuse p2 and its block b2.  Every open cut needs
     a reuse at one of its positions, so the open cuts that do not hold p1
     must all hold p2, a later position, and p2 must join a block that holds
-    all of them.  The first reuse may lie in no cut: it can join
-    any block, such as one opened just before it.  In each (p1, b1) group
-    the completion with fewer reuses comes last, which keeps the list in
-    lexicographic order.  A listed node adds its count-table size minus the
-    completions listed to `skipped`, so the count holds by construction and
-    the verifiers' accounting check cannot catch a survivor that the listing
-    misses (nor could it catch one that a pruning rule wrongly skipped): the
-    brute-force tests guard the listing.  Cuts that repeat an index are
-    never rainbow and are dropped first.  A cut that is empty or has an
-    index outside 0..m-1 raises ValueError.
+    all of them.  Which positions can be p1 so depends only on the open cuts
+    and r, and each such pair gets one mask of them per call; a listed node
+    whose mask has no position from its own on, and that cannot finish with
+    no reuse at all, lists nothing and returns at once.  The first reuse may
+    lie in no cut: it can join any block, such as one opened just before
+    it.  In each (p1, b1) group the completion with fewer reuses comes last,
+    which keeps the list in lexicographic order.  A listed node adds its
+    count-table size minus the completions listed to `skipped`, so the count
+    holds by construction and the verifiers' accounting check cannot catch a
+    survivor that the listing misses (nor could it catch one that a pruning
+    rule wrongly skipped): the brute-force tests guard the listing.  Cuts
+    that repeat an index are never rainbow and are dropped first.  A cut that
+    is empty or has an index outside 0..m-1 raises ValueError.
 
     Returns the surviving RGS, in lexicographic order, and the exact number
     of RGS in the skipped subtrees, so survivors + skipped is the sum of
@@ -109,6 +112,8 @@ def rainbow_pruned_partitions(
     skipped = 0
     # a set of cuts -> the positions that all of them hold
     common: dict[int, int] = {}
+    # (open cuts, reuses left) -> the positions that can take the first reuse
+    starts: dict[tuple[int, int], int] = {}
 
     def shared(open_cuts: int) -> int:
         need = common.get(open_cuts)
@@ -120,6 +125,19 @@ def rainbow_pruned_partitions(
                 rest ^= low
             common[open_cuts] = need
         return need
+
+    def first_reuses(unbroken: int, most: int) -> int:
+        """The positions p1 that can take the first reuse of a listed node
+        with open cuts `unbroken` and `most` reuses left: the open cuts that
+        do not hold p1 must all hold some later position, the second reuse,
+        and with one reuse left there must be none.  Called once per key;
+        `rec` keeps the masks in `starts`."""
+        firsts = 0
+        for p1 in range(m) if most else ():
+            outside = unbroken & ~at[p1]
+            if not outside or most > 1 and shared(outside) >> p1 + 1:
+                firsts |= 1 << p1
+        return firsts
 
     def rec(pos: int, blocks: int, broken: int, most: int) -> None:
         """The node that has put positions 0..pos-1 in `blocks` blocks and
@@ -147,20 +165,28 @@ def rainbow_pruned_partitions(
             return
         left = m - pos
         least = blocks + left - hi  # fewer reuses would pass hi blocks
-        found = len(survivors)
         unbroken = every & ~broken
+        firsts = starts.get((unbroken, most))
+        if firsts is None:
+            firsts = starts[unbroken, most] = first_reuses(unbroken, most)
+        firsts = firsts >> pos << pos
+        if not firsts and (least > 0 or unbroken):
+            skipped += counts[left][blocks]  # no completion survives
+            return
+        found = len(survivors)
         head = tuple(rgs[:pos])
         # the cuts each block holds: the used blocks, then one block per
         # position from pos on, opened there unless a reuse comes first
         opened = held[:blocks] + at[pos:]
         fresh = tuple(range(blocks, blocks + left))
-        for p1 in range(pos, m) if most else ():
+        while firsts:
+            low = firsts & -firsts
+            firsts ^= low
+            p1 = low.bit_length() - 1
             here = at[p1]
             # p1 breaks no cut that does not hold it: those are left to p2, a
             # later position that all of them hold
             outside = unbroken & ~here
-            if outside and (most < 2 or not shared(outside) >> p1 + 1):
-                continue
             k1 = p1 - pos  # new blocks before p1
             top = blocks + k1
             # past p1 the blocks it did not open shift down one slot

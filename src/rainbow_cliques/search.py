@@ -422,14 +422,19 @@ def validate_witness(g: ColoredGraph, w: Witness) -> bool:
     """Re-check a witness against its host graph: `vertices` are distinct
     vertices of g, its edges are exactly the pattern's edges on them, each an
     edge of g with its color in g, and the colors satisfy the predicate of
-    `kind`.  Vertices, edge ends and part sizes must be ints, not floats or
-    bools that compare equal to one, and an edge's color must have the type
-    of its color in g as well as its value.  A multipartite witness is split
-    into parts by `w.parts` (all 1 for a clique, two parts for a bipartite
-    one, the balanced sizes of len(w.parts) parts on all of V(G) for a
-    Turan one), so the expected edges never come from the edges being
-    checked."""
+    `kind`.  `vertices`, `edges` and `parts` must be tuples, and each edge a
+    tuple of three fields.  Vertices, edge ends and part sizes must be ints,
+    not floats or bools that compare equal to one, and an edge's color must
+    have the type of its color in g as well as its value.  A multipartite
+    witness is split into parts by `w.parts` (all 1 for a clique, two parts
+    for a bipartite one, the balanced sizes of len(w.parts) parts on all of
+    V(G) for a Turan one), so the expected edges never come from the edges
+    being checked."""
     verts, parts, kind = w.vertices, w.parts, w.kind
+    if not all(type(f) is tuple for f in (verts, w.edges, parts)) or not all(
+        type(e) is tuple and len(e) == 3 for e in w.edges
+    ):
+        return False
     if not verts or len(set(verts)) != len(verts) or not all(_is_vertex(g, v) for v in verts):
         return False
     for u, v, c in w.edges:

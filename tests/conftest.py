@@ -29,20 +29,32 @@ def random_complete_colored_graph(rng: random.Random, n: int, palette: int) -> C
     return ColoredGraph(n, colors)
 
 
-def count_inner_calls(outer, run, name="rec", where=None):
+def count_inner_calls(outer, run, name="rec", where=None, at_return=False):
     """The number of calls of the closure `name` defined in the function
     `outer` (of `outer` itself with name=None) while run() runs, and run()'s
     result.  With `where`, only the calls whose arguments, as the frame's
-    locals, satisfy it count."""
+    locals, satisfy it count; with at_return too, `where` sees the frame's
+    locals as the call returns instead, so a name the call never bound is
+    missing from them."""
     code = outer.__code__ if name is None else next(
         c for c in outer.__code__.co_consts
         if isinstance(c, CodeType) and c.co_name == name
     )
     calls = 0
 
+    def returns(frame, event, arg):
+        nonlocal calls
+        if event == "return" and where(frame.f_locals):
+            calls += 1
+        return returns
+
     def tracer(frame, event, arg):
         nonlocal calls
-        if frame.f_code is code and (where is None or where(frame.f_locals)):
+        if frame.f_code is not code:
+            return None
+        if at_return:
+            return returns
+        if where is None or where(frame.f_locals):
             calls += 1
 
     old = sys.gettrace()

@@ -265,7 +265,9 @@ class TestPruningNodeCount:
     position by position or its completions are listed (the finishing test
     still catches every rainbow cut), so the amount of work is pinned by
     the calls of `rec`: with more than two reuses left a node is walked,
-    with at most two it is listed."""
+    with at most two it is listed.  A listed node with no position for its
+    first reuse ends before it builds its `head`, and each mask of such
+    positions is one call of `first_reuses`."""
 
     @staticmethod
     def counted(run, walked):
@@ -274,6 +276,17 @@ class TestPruningNodeCount:
         return count_inner_calls(
             rainbow_pruned_partitions, run, where=lambda args: (args["most"] > 2) == walked
         )
+
+    @staticmethod
+    def ended(run):
+        """The number of listed nodes that end at once while run() runs, and
+        the number of first-reuse masks made."""
+        early, _ = count_inner_calls(
+            rainbow_pruned_partitions, run, at_return=True,
+            where=lambda local: local["most"] <= 2 and "head" not in local,
+        )
+        made, _ = count_inner_calls(rainbow_pruned_partitions, run, name="first_reuses")
+        return early, made
 
     def test_k6_dichotomy_walks_768_nodes_and_lists_3210(self):
         # the K6 verifier's call: the 15 edges of K6 (ordered by larger,
@@ -292,18 +305,23 @@ class TestPruningNodeCount:
         listed, _ = self.counted(run, False)
         assert (len(survivors), skipped) == (70, 12662580)
         assert (walked, listed) == (768, 3210)
+        assert self.ended(run) == (1071, 441)
         # the 70 survivors, their content and their order
         assert hashlib.sha256(repr(survivors).encode()).hexdigest() == (
             "65283961303a7ea641cef4883d56c68e784b0cb93c5f9ce99d7c2e87607e81d9"
         )
 
-    @pytest.mark.parametrize("lower, walked, listed, ces", [
-        pytest.param(0, (0, 0, 101), (1, 7, 194), (0, 0, 0), id="at-the-threshold"),
+    @pytest.mark.parametrize("lower, walked, listed, ended, ces", [
         pytest.param(
-            1, (0, 4, 329), (1, 11, 615), (3, 15, 105), id="threshold-lowered-by-one"
+            0, (0, 0, 101), (1, 7, 194), ((1, 1), (6, 7), (193, 119)), (0, 0, 0),
+            id="at-the-threshold",
+        ),
+        pytest.param(
+            1, (0, 4, 329), (1, 11, 615), ((0, 1), (0, 9), (458, 304)), (3, 15, 105),
+            id="threshold-lowered-by-one",
         ),
     ])
-    def test_triangle_verifier_nodes(self, lower, walked, listed, ces, monkeypatch):
+    def test_triangle_verifier_nodes(self, lower, walked, listed, ended, ces, monkeypatch):
         # summed over the verifier's calls, one per edge subset of K_n for
         # n = 3, 4, 5; one below the threshold colorings without a rainbow
         # triangle survive
@@ -317,6 +335,9 @@ class TestPruningNodeCount:
             ]
             assert [calls for calls, _ in found] == list(expect)
             assert [len(report.counterexamples) for _, report in found] == list(ces)
+        assert [
+            self.ended(lambda: verify.verify_triangle_threshold(n)) for n in (3, 4, 5)
+        ] == list(ended)
 
     def test_lo_below_hi_walks_18_nodes_and_lists_24(self):
         # with lo < hi a new block spends a reuse once lo blocks are open;

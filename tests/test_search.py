@@ -634,10 +634,17 @@ class TestWitnessValidation:
         pytest.param({"edges": ((1, 2.0, 1), (1, 3, 2), (2, 3, 3))}, id="float-edge-end"),
         pytest.param({"edges": ((1, 2, 1.0), (1, 3, 2), (2, 3, 3))}, id="float-edge-color"),
         pytest.param({"edges": ((1, 2, True), (1, 3, 2), (2, 3, 3))}, id="bool-edge-color"),
+        pytest.param({"edges": ((1, 2), (1, 3, 2), (2, 3, 3))}, id="two-field-edge"),
+        pytest.param({"edges": ((1, 2, 1, 0), (1, 3, 2), (2, 3, 3))}, id="four-field-edge"),
+        pytest.param({"edges": (5, (1, 3, 2), (2, 3, 3))}, id="int-edge"),
+        pytest.param({"edges": None}, id="no-edges"),
+        pytest.param({"parts": None}, id="no-parts"),
+        pytest.param({"vertices": 5}, id="int-vertices"),
     ])
     def test_non_int_fields_rejected(self, change):
         # each field equals a valid one, or made validate_witness raise (in
-        # islice, or comparing a str with an int) where the answer is False
+        # islice, comparing a str with an int, or unpacking an edge that is
+        # not a triple) where the answer is False
         assert validate_witness(self.TRIANGLE, self.RAINBOW_K3)
         assert validate_witness(self.TRIANGLE, replace(self.RAINBOW_K3, **change)) is False
 

@@ -386,6 +386,19 @@ class TestK6Survivors:
         assert sum(turan) == 10 and sum(cycle) == 60
         assert not any(t and c for t, c in zip(turan, cycle))
 
+    def test_the_c6_search_runs_first(self, monkeypatch):
+        # every survivor is searched for a monochromatic C6, and only the 10
+        # without one for a rainbow T_{6,2}
+        calls = {}
+        for name in ("find_monochromatic_cycle", "find_rainbow_turan"):
+            def counted(*args, real=getattr(verify, name), name=name):
+                calls[name] = calls.get(name, 0) + 1
+                return real(*args)
+            monkeypatch.setattr(verify, name, counted)
+        r = verify.verify_k6_dichotomy()
+        assert (r.space_size, len(r.counterexamples)) == (12662650, 0)
+        assert calls == {"find_monochromatic_cycle": 70, "find_rainbow_turan": 10}
+
 
 class TestK6VariantClassification:
     def test_turan_pair_branch(self):
