@@ -86,6 +86,22 @@ def _color_nbhds(g: ColoredGraph) -> list[dict[int, int]]:
     return at
 
 
+# The least class N_c(x) whose edges the k = 3 count takes from a packed
+# square; it loops over the vertices of a smaller one.  Squaring every class
+# of two or more made the sparse few-color graphs of the cli benchmark corpus
+# (n = 24 and 40, density 0.35) count 1.4x slower (2-core Xeon VM); from 6
+# they count as fast as by the loop, and the supersaturation graphs, whose
+# one big class holds most edges, keep the gain.
+_PACKED_CLASS = 6
+
+
+def _check_k(k) -> None:
+    if type(k) is not int:
+        raise TypeError(f"clique size must be an int, got {k!r}")
+    if k < 1:
+        raise ValueError(f"clique size must be positive, got k={k}")
+
+
 def _rainbow_cliques(adj, cm, k: int, limit: int) -> list[tuple[int, ...]]:
     """The first `limit` (at least 1) k-cliques whose C(k,2) edges have
     pairwise distinct colors, in lexicographic order of their vertex lists,
@@ -98,8 +114,7 @@ def _rainbow_cliques(adj, cm, k: int, limit: int) -> list[tuple[int, ...]]:
     never the upper triangle, which a caller may leave stale.  It checks
     each candidate's colors rather than building count_rainbow_cliques' tables:
     a hit at the limit comes early, and the tables would cost more."""
-    if k < 1:
-        raise ValueError(f"clique size must be positive, got k={k}")
+    _check_k(k)
     if limit < 1:
         raise ValueError(f"limit must be positive, got limit={limit}")
     n = len(adj) - 1
@@ -161,13 +176,16 @@ def count_rainbow_cliques(g: ColoredGraph, k: int) -> int:
     N_c(x) is x's neighbours over an edge of color c, kept only for the
     colors on two or more edges (`_color_nbhds`).
 
-    k = 3 is T - (p/2 - q/3), T the triangles (adj[u] & adj[v] below u
-    over the edges uv).  Over S = N_c(x) for every vertex x and color c,
-    e(S) counts each of the t2 triangles with exactly two c-edges once (at
-    x, where they meet) and each of the t3 monochromatic ones at all three
-    vertices, so it sums to t2 + 3*t3; the c-edges in S count only the
-    latter, 3*t3.  p and q are these sums from both ends of each edge
-    (adj[u] & S and N_c(u) & S over u in S), so p/2 - q/3 = t2 + t3.
+    k = 3 is T - (p/2 - q/3), T the triangles.  Over S = N_c(x) for every
+    vertex x and color c, e(S) counts each of the t2 triangles with exactly
+    two c-edges once (at x, where they meet) and each of the t3
+    monochromatic ones at all three vertices, so it sums to t2 + 3*t3; the
+    c-edges in S, e_c(S), count only the latter, 3*t3.  p and q sum 2e(S)
+    and 2e_c(S), so p/2 - q/3 = t2 + t3.  On a class of `_PACKED_CLASS` or
+    more vertices these are the bits of square(S) & ADJ and square(S) &
+    A(c), with the packing below; on a smaller one, the sums of |adj[u] & S|
+    and |N_c(u) & S| over u in S.  6T is the bits of square(N(x)) & ADJ
+    over every vertex x: 2e(N(x)) counts each triangle at x twice.
 
     For k >= 4, good(u, v), built once per count for each edge, is the w
     that make uvw a rainbow triangle.  Adding v to the clique Q, whose
@@ -179,16 +197,16 @@ def count_rainbow_cliques(g: ColoredGraph, k: int) -> int:
     W = 8*ceil((n+2)/8) bits wide, holds a mask that belongs to vertex w.
     square(C) = ((C*R) & D)*C, with R = sum of 2^(j(W-1)) and D = sum of
     2^(wW), holds C in block w for each w in C (and 0 elsewhere); nothing
-    carries, as C < 2^(W-1).  One packer fills G(q) with good(q, w) in block
-    w < q and A(c) with N_c(w) = at[w][c] in block w.  The pairs {w, x} of
-    C that make Q + w + x rainbow are the bits of square(C) & AND G(q) over
-    q in Q, each counted from both ends, outside A(c) for c in U (c(w,x) in
-    U) and outside square(M) for each color c on edges from two vertices
-    q, q' of Q, where M is the candidates that meet c at q or q' (c(w,q) =
-    c(x,q'); the pairs that meet c at one q are out of good already).  As
-    the candidates lie below Q, these big ints stop at Q's lowest block."""
-    if k < 1:
-        raise ValueError(f"clique size must be positive, got k={k}")
+    carries, as C < 2^(W-1).  One packer fills ADJ with adj[w], G(q) with
+    good(q, w) in block w < q and A(c) with N_c(w) = at[w][c] in block w.
+    The pairs {w, x} of C that make Q + w + x rainbow are the bits of
+    square(C) & AND G(q) over q in Q, each counted from both ends, outside
+    A(c) for c in U (c(w,x) in U) and outside square(M) for each color c on
+    edges from two vertices q, q' of Q, where M is the candidates that meet
+    c at q or q' (c(w,q) = c(x,q'); the pairs that meet c at one q are out
+    of good already).  As the candidates lie below Q, these big ints stop
+    at Q's lowest block."""
+    _check_k(k)
     n = g.n
     if k > n:
         return 0
@@ -196,17 +214,42 @@ def count_rainbow_cliques(g: ColoredGraph, k: int) -> int:
         return n if k == 1 else g.e  # every vertex and every edge is rainbow
     adj = g.adj
     at = _color_nbhds(g)
+    nbytes = (n + 9) // 8
+    width = 8 * nbytes
+    # D, and the k = 3 count's R, in closed form as geometric series: a
+    # division each instead of n + 1 shifts, which a small count would
+    # otherwise spend much of its time on
+    D = ((1 << (n + 1) * width) - 1) // ((1 << width) - 1)
+
+    def pack(masks) -> int:  # mask i in block i
+        return int.from_bytes(b"".join(m.to_bytes(nbytes, "little") for m in masks), "little")
+
+    A: dict[int, int] = {}
+
+    def packed(c: int) -> int:  # A(c), packed on first use
+        a = A.get(c)
+        if a is None:
+            a = A[c] = pack(x.get(c, 0) for x in at)
+        return a
+
     if k == 3:
-        # T - (p/2 - q/3), as in the docstring
-        p = q = 0
-        for x in at:
-            for c, s in x.items():
-                if s & (s - 1):
+        # T - (p/2 - q/3), as in the docstring; Rn is R with all n + 1
+        # terms, and ((C*Rn) & D)*C is square(C)
+        Rn = ((1 << (n + 1) * (width - 1)) - 1) // ((1 << width - 1) - 1)
+        ADJ = pack(adj)
+        p = q = t = 0
+        for nx, ax in zip(adj, at):
+            t += (((nx * Rn) & D) * nx & ADJ).bit_count()
+            for c, s in ax.items():
+                if s.bit_count() >= _PACKED_CLASS:
+                    sq = ((s * Rn) & D) * s
+                    p += (sq & ADJ).bit_count()
+                    q += (sq & packed(c)).bit_count()
+                elif s & (s - 1):
                     for u in _iter_bits(s):
                         p += (adj[u] & s).bit_count()
                         q += (at[u][c] & s).bit_count()
-        t = sum((adj[u] & adj[v] & (1 << u) - 1).bit_count() for u, v in g.colors)
-        return t - p // 2 + q // 3
+        return t // 6 - p // 2 + q // 3
     # good[v][u] is good(u, v) and shared[v][u] the colors met at both u and
     # v, for the edge uv with u < v
     good = [[0] * v for v in range(n + 1)]
@@ -222,19 +265,11 @@ def count_rainbow_cliques(g: ColoredGraph, k: int) -> int:
             shared[v][u] = tuple(both)
 
     cm = g.color_matrix
-    nbytes = (n + 9) // 8
-    width = 8 * nbytes
     # R[t] is R cut to its first t terms, all that a C below 2^t needs
     R = [0]
     for t in range(n + 1):
         R.append(R[-1] | 1 << t * (width - 1))
-    D = sum(1 << w * width for w in range(n + 1))
-
-    def pack(masks) -> int:  # mask i in block i
-        return int.from_bytes(b"".join(m.to_bytes(nbytes, "little") for m in masks), "little")
-
     G = [pack(row) for row in good]
-    A: dict[int, int] = {}
 
     def square(m: int) -> int:
         return ((m * R[m.bit_length()]) & D) * m
@@ -244,10 +279,7 @@ def count_rainbow_cliques(g: ColoredGraph, k: int) -> int:
         rainbow clique; `live` is the AND of G over the clique."""
         live &= square(cand)
         for c in used:
-            a = A.get(c)
-            if a is None:
-                a = A[c] = pack(x.get(c, 0) for x in at)
-            live ^= live & a
+            live ^= live & (A.get(c) or packed(c))  # A(c) > 0: c is on two edges
         for j, q2 in enumerate(clique):
             a2 = at[q2]
             for q in clique[:j]:

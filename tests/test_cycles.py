@@ -21,6 +21,8 @@ from rainbow_cliques.verify import _regular_graphs, verify_k9_reduction
 
 
 CALLS = {
+    # the one class of 19 vertices at each vertex takes the packed squares
+    "count k=3": lambda: count_rainbow_cliques(extremal(20, 3), 3),
     "count k=4": lambda: count_rainbow_cliques(extremal(20, 4), 4),
     "count k=5": lambda: count_rainbow_cliques(lexicographic(9), 5),
     "find clique, hit": lambda: find_rainbow_clique(extremal(8, 4), 3),

@@ -119,6 +119,15 @@ class TestFindRainbowClique:
         with pytest.raises(ValueError):
             find_rainbow_clique(rainbow_complete(3), 0)
 
+    def test_bool_k_rejected(self):
+        # True == 1: it would be read as k = 1 and give a one-vertex witness
+        with pytest.raises(TypeError):
+            find_rainbow_clique(extremal(6, 4), True)
+
+    def test_float_k_rejected(self):
+        with pytest.raises(TypeError):
+            find_rainbow_clique(extremal(6, 4), 2.5)
+
 
 class TestCountRainbowCliques:
     def test_rainbow_k5_triangles(self):
@@ -131,6 +140,15 @@ class TestCountRainbowCliques:
 
     def test_extremal_8_4_no_k4(self):
         assert count_rainbow_cliques(extremal(8, 4), 4) == 0
+
+    def test_bool_k_rejected(self):
+        # True == 1: it would count the 6 vertices as cliques
+        with pytest.raises(TypeError):
+            count_rainbow_cliques(extremal(6, 4), True)
+
+    def test_float_k_rejected(self):
+        with pytest.raises(TypeError):
+            count_rainbow_cliques(extremal(6, 4), 3.5)
 
     def test_matches_naive_oracle(self):
         rng = random.Random(23)
@@ -176,7 +194,9 @@ class TestCountRainbowCliques:
                 for k in (3, 4, 5):
                     assert count_rainbow_cliques(g, k) == count_rainbow_cliques_naive(g, k)
 
-    @pytest.mark.parametrize("k, ns", [(3, (20, 40)), (4, (20, 40)), (5, (16, 30)), (6, (12, 20))])
+    # k = 3 at n = 100, the experiment's cap: the widest blocks, 112 bits,
+    # under the packed squares of its big color classes
+    @pytest.mark.parametrize("k, ns", [(3, (20, 100)), (4, (20, 40)), (5, (16, 30)), (6, (12, 20))])
     def test_supersaturation_counts_match_the_one_big_class_oracle(self, k, ns):
         rows, _ = supersaturation_experiment(k, list(ns), 0.1, seed=1)
         for n, ec, count in rows:
@@ -242,6 +262,29 @@ class TestCountRainbowCliques:
             (4, 6): 3, (5, 6): 4,
         })
         assert count_rainbow_cliques(g, 3) == count_rainbow_cliques_naive(g, 3) == 1
+
+    def test_triangles_square_only_the_classes_of_six_or_more(self):
+        # at 1, 7 and 14 a star of 5, 6 and 7 edges in its own color; the
+        # leaves of each star are a clique in fresh colors but for one edge
+        # in the star's color, which closes a monochromatic triangle
+        colors, fresh = {}, iter(range(100, 200))
+        for x, size in ((1, 5), (7, 6), (14, 7)):
+            leaves = range(x + 1, x + size + 1)
+            for u, v in combinations(leaves, 2):
+                colors[u, v] = next(fresh)
+            colors[x + 1, x + 2] = x
+            for v in leaves:
+                colors[x, v] = x
+        g = ColoredGraph(21, colors)
+
+        def run():
+            return count_rainbow_cliques(g, 3)
+
+        def squared(color):  # the times A(color) is asked for
+            return count_inner_calls(count_rainbow_cliques, run, "packed", lambda f: f["c"] == color)[0]
+
+        assert [squared(c) for c in (1, 7, 14)] == [0, 1, 1]
+        assert run() == count_rainbow_cliques_naive(g, 3) == 65
 
     def test_limit_stops_at_the_limit_th_clique(self):
         rng = random.Random(29)
