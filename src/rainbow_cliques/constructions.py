@@ -14,7 +14,7 @@ from bisect import bisect_left
 from collections import Counter
 from itertools import accumulate, combinations, count, product
 
-from .graph import ColoredGraph, is_complete
+from .graph import ColoredGraph, _check_int, is_complete
 from .turan import turan_number, turan_partition
 
 
@@ -28,10 +28,8 @@ def extremal(n: int, k: int) -> ColoredGraph:
     k = 3 is allowed as the degenerate single-part pattern (monochromatic
     K_n), used as the base graph of supersaturation experiments.
     """
-    if k < 3:
-        raise ValueError(f"need k >= 3, got k={k}")
-    if n < k - 2 or n < 2:
-        raise ValueError(f"need n >= max(2, k-2), got n={n}, k={k}")
+    _check_int("k", k, 3)
+    _check_int("n", n, max(2, k - 2))
     # every pair gets the shared color t + 1, then the cross pairs get 1..t
     colors = dict.fromkeys(combinations(range(1, n + 1), 2), turan_number(n, k - 2) + 1)
     sizes = turan_partition(n, k - 2)
@@ -44,8 +42,7 @@ def extremal(n: int, k: int) -> ColoredGraph:
 
 def lexicographic(n: int) -> ColoredGraph:
     """Complete K_n with color(u,v) = min(u,v); counts (C(n,2), n-1)."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got n={n}")
+    _check_int("n", n, 2)
     colors = {(u, v): u for u, v in combinations(range(1, n + 1), 2)}
     return ColoredGraph(n, colors)
 

@@ -68,11 +68,7 @@ class ColoredGraph:
         # a read-only view of a private copy, so the cached properties below
         # cannot go stale and validation cannot be skipped
         object.__setattr__(self, "colors", MappingProxyType(dict(self.colors)))
-        # a bool is an int, but ECG text cannot carry one
-        if type(self.n) is not int:
-            raise TypeError(f"vertex count must be an int, got {self.n!r}")
-        if self.n <= 0:
-            raise ValueError(f"vertex count must be positive, got {self.n}")
+        _check_int("vertex count", self.n, 1)
         n = self.n
         try:
             # unpacked at once, so the items iterator can reuse its tuple
@@ -134,19 +130,36 @@ def is_complete(g: ColoredGraph) -> bool:
 
 def _is_vertex(g: ColoredGraph, v) -> bool:
     """Whether v is a vertex of g: an int in 1..n.  A float such as 2.0 or
-    a bool (an int, but one ECG text cannot carry) is none."""
+    a bool (an int, but one ECG text cannot carry) is none.  `_check_int`
+    is the raising form of the same rule."""
     return type(v) is int and 1 <= v <= g.n
+
+
+def _check_int(name: str, value, least: int, most: int | None = None) -> None:
+    """Raise unless `value` is an int in least..most (no upper end when most
+    is None).  A bool is an int and 4.0 equals one, but neither is accepted:
+    each would answer for another size.  TypeError for the type, ValueError
+    for the range, each naming the argument."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    if most is None:
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
+    elif not least <= value <= most:
+        raise ValueError(f"{name} must be in {least}..{most}, got {value}")
 
 
 def induced_subgraph(g: ColoredGraph, keep: Iterable[int]) -> ColoredGraph:
     """Subgraph on `keep`, vertices relabeled 1..|keep| preserving relative
     order; colors preserved verbatim."""
-    ks = sorted(set(keep))
-    if not ks:
+    keep = list(keep)  # it may be an iterator
+    if not keep:
         raise ValueError("keep set must be nonempty")
-    bad = [v for v in ks if not _is_vertex(g, v)]
-    if bad:
-        raise ValueError(f"vertex out of range in keep set: {bad[0] if bad[0] < 1 else bad[-1]}")
+    # checked before sorting, which a member such as "a" would break
+    for v in keep:
+        if not _is_vertex(g, v):
+            raise ValueError(f"vertex out of range in keep set: {v}")
+    ks = sorted(set(keep))
     relabel = {v: i + 1 for i, v in enumerate(ks)}
     colors = {}
     for (u, v), c in g.colors.items():

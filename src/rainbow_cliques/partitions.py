@@ -15,6 +15,8 @@ from collections.abc import Iterable
 from functools import lru_cache
 from itertools import combinations
 
+from .graph import _check_int
+
 
 @lru_cache(maxsize=None)
 def _count_table(m: int, lo: int, hi: int) -> tuple[tuple[int, ...], ...]:
@@ -31,8 +33,7 @@ def _count_table(m: int, lo: int, hi: int) -> tuple[tuple[int, ...], ...]:
 def completions(m: int, lo: int, hi: int) -> int:
     """Number of RGS of length m with between lo and hi blocks: the sum of
     S(m, r) over r = lo..hi."""
-    if m < 0:
-        raise ValueError(f"need m >= 0, got m={m}")
+    _check_int("m", m, 0)
     return _count_table(m, lo, hi)[m][0] if hi >= 0 else 0
 
 
@@ -85,8 +86,7 @@ def rainbow_pruned_partitions(
     Returns the surviving RGS, in lexicographic order, and the exact number
     of RGS in the skipped subtrees, so survivors + skipped is the sum of
     S(m, r) over r = lo..hi."""
-    if m < 0:
-        raise ValueError(f"need m >= 0, got m={m}")
+    _check_int("m", m, 0)
     cuts = list(cuts)
     for ids in cuts:
         if not ids or not all(0 <= i < m for i in ids):

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations, islice
 
-from .graph import ColoredGraph, Witness, _is_vertex
+from .graph import ColoredGraph, Witness, _check_int, _is_vertex
 from .partitions import _balanced_partitions
 from .turan import turan_partition
 
@@ -95,13 +95,6 @@ def _color_nbhds(g: ColoredGraph) -> list[dict[int, int]]:
 _PACKED_CLASS = 6
 
 
-def _check_k(k) -> None:
-    if type(k) is not int:
-        raise TypeError(f"clique size must be an int, got {k!r}")
-    if k < 1:
-        raise ValueError(f"clique size must be positive, got k={k}")
-
-
 def _rainbow_cliques(adj, cm, k: int, limit: int) -> list[tuple[int, ...]]:
     """The first `limit` (at least 1) k-cliques whose C(k,2) edges have
     pairwise distinct colors, in lexicographic order of their vertex lists,
@@ -114,9 +107,8 @@ def _rainbow_cliques(adj, cm, k: int, limit: int) -> list[tuple[int, ...]]:
     never the upper triangle, which a caller may leave stale.  It checks
     each candidate's colors rather than building count_rainbow_cliques' tables:
     a hit at the limit comes early, and the tables would cost more."""
-    _check_k(k)
-    if limit < 1:
-        raise ValueError(f"limit must be positive, got limit={limit}")
+    _check_int("clique size", k, 1)
+    _check_int("limit", limit, 1)
     n = len(adj) - 1
     found: list[tuple[int, ...]] = []
     if k > n:
@@ -206,7 +198,7 @@ def count_rainbow_cliques(g: ColoredGraph, k: int) -> int:
     c at q or q' (c(w,q) = c(x,q'); the pairs that meet c at one q are out
     of good already).  As the candidates lie below Q, these big ints stop
     at Q's lowest block."""
-    _check_k(k)
+    _check_int("clique size", k, 1)
     n = g.n
     if k > n:
         return 0
@@ -336,8 +328,8 @@ def count_rainbow_cliques(g: ColoredGraph, k: int) -> int:
 def find_rainbow_complete_bipartite(g: ColoredGraph, a: int, b: int) -> Witness | None:
     """Disjoint vertex sets of sizes a and b with all a*b cross edges present
     and pairwise distinct colors, or None."""
-    if a < 1 or b < 1:
-        raise ValueError(f"part sizes must be positive, got ({a},{b})")
+    _check_int("part size", a, 1)
+    _check_int("part size", b, 1)
     if a + b > g.n:
         return None
     verts = range(1, g.n + 1)
@@ -357,8 +349,7 @@ def find_rainbow_turan(g: ColoredGraph, r: int) -> Witness | None:
     part holding the least unplaced vertex first, larger sizes before
     smaller ones, members in `combinations` order), so the witness lists
     its parts by their smallest vertex."""
-    if not (1 <= r <= g.n):
-        raise ValueError(f"part count must satisfy 1 <= r <= n, got r={r}")
+    _check_int("part count", r, 1, g.n)
     splits = _balanced_partitions(g.n, turan_partition(g.n, r))
     return _first_rainbow_split(g, "rainbow-turan", splits)
 
@@ -406,8 +397,7 @@ def find_monochromatic_cycle(g: ColoredGraph, length: int) -> Witness | None:
     """A cycle on `length` distinct vertices whose edges all share one color,
     or None.  Canonical orientation: smallest vertex first, second vertex
     smaller than the last."""
-    if length < 3:
-        raise ValueError(f"cycle length must be >= 3, got {length}")
+    _check_int("cycle length", length, 3)
     if length > g.n:
         return None
     found = _mono_walk(g, length, True)
@@ -417,8 +407,7 @@ def find_monochromatic_cycle(g: ColoredGraph, length: int) -> Witness | None:
 def find_monochromatic_path(g: ColoredGraph, nverts: int) -> Witness | None:
     """A path on `nverts` distinct vertices with all edges one color, or None.
     Canonical orientation: first endpoint smaller than the last."""
-    if nverts < 2:
-        raise ValueError(f"path needs >= 2 vertices, got {nverts}")
+    _check_int("nverts", nverts, 2)
     if nverts > g.n:
         return None
     found = _mono_walk(g, nverts, False)

@@ -9,14 +9,14 @@ from __future__ import annotations
 
 from math import comb
 
+from .graph import _check_int
+
 
 def turan_number(n: int, k: int) -> int:
     """Edge count t_{n,k} of the complete balanced k-partite graph on n
     vertices: (k-1)(n^2-i^2)/(2k) + C(i,2) with i = n mod k."""
-    if k <= 0:
-        raise ValueError(f"part count must be positive, got k={k}")
-    if n < 0:
-        raise ValueError(f"vertex count must be nonnegative, got n={n}")
+    _check_int("part count", k, 1)
+    _check_int("vertex count", n, 0)
     i = n % k
     num = (k - 1) * (n * n - i * i)
     assert num % (2 * k) == 0
@@ -26,10 +26,8 @@ def turan_number(n: int, k: int) -> int:
 def turan_partition(n: int, k: int) -> tuple[int, ...]:
     """Balanced part sizes: the first n mod k parts get ceil(n/k), the rest
     floor(n/k); nonincreasing order."""
-    if k <= 0:
-        raise ValueError(f"part count must be positive, got k={k}")
-    if k > n:
-        raise ValueError(f"cannot split {n} vertices into {k} nonempty parts")
+    _check_int("vertex count", n, 1)
+    _check_int("part count", k, 1, n)
     q, i = divmod(n, k)
     return tuple([q + 1] * i + [q] * (k - i))
 
@@ -42,8 +40,8 @@ def thresholds(n: int, k: int) -> tuple[int, int]:
     extremal value is 2*C(n,2) + 1, one above the all-rainbow maximum.  For
     k = 3 the existence threshold is C(n,2) + n.
     """
-    if k < 3:
-        raise ValueError(f"rainbow clique thresholds need k >= 3, got k={k}")
+    _check_int("k", k, 3)
+    _check_int("n", n, 0)
     if k == 3:
         existence = comb(n, 2) + n
     else:

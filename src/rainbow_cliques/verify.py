@@ -19,7 +19,9 @@ from itertools import combinations
 from math import ceil, comb, isfinite, log
 
 from .constructions import _recolor_fresh, extremal, perturb_fresh_colors
-from .graph import ColoredGraph, ECGParseError, _field, format_ecg, parse_ecg, saturation
+from .graph import (
+    ColoredGraph, ECGParseError, _check_int, _field, format_ecg, parse_ecg, saturation,
+)
 from .partitions import _balanced_partitions, completions, rainbow_pruned_partitions, stirling2
 from .search import (
     _rainbow_cliques,
@@ -142,8 +144,7 @@ def verify_triangle_threshold(n: int) -> VerificationReport:
     subtree is skipped (with its size counted exactly) once a triangle is
     rainbow, so the colorings that _colorings_without_rainbow returns are
     exactly the counterexamples."""
-    if not (3 <= n <= 5):
-        raise ValueError(f"triangle verifier supports 3 <= n <= 5, got n={n}")
+    _check_int("n", n, 3, 5)
     t0 = time.perf_counter()
     all_edges = list(combinations(range(1, n + 1), 2))
     threshold = thresholds(n, 3)[1]
@@ -385,10 +386,8 @@ def verify_tightness(n: int, k: int) -> VerificationReport:
     edge with a fresh color creates a rainbow K_k (exhaustive over intra-part
     edges).  Needs n >= k: a graph on fewer than k vertices has no K_k, so
     no recoloring can make one rainbow."""
-    if k not in (4, 5):
-        raise ValueError(f"tightness verified for k in {{4,5}}, got k={k}")
-    if n < k:
-        raise ValueError(f"tightness needs n >= k, got n={n}, k={k}")
+    _check_int("k", k, 4, 5)
+    _check_int("n", n, k)
     t0 = time.perf_counter()
     g = extremal(n, k)
     extremal_ec, _ = thresholds(n, k)
@@ -424,12 +423,13 @@ def falsify_two_cliques(
     in `combinations` edge order: the search reads them through one color
     matrix, whose lower triangle (all that it reads) is rewritten each
     trial, and a ColoredGraph is built only for a hit."""
+    _check_int("k", k, 1)
+    _check_int("n", n, 1)
     if not (n > k >= 6 or (k == 5 and n >= 10)):
         raise ValueError(
             f"two-cliques theorem covers n > k >= 6 or k=5, n >= 10; got k={k}, n={n}"
         )
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got trials={trials}")
+    _check_int("trials", trials, 1)
     t0 = time.perf_counter()
     e = comb(n, 2)
     target = thresholds(n, k)[1]
@@ -468,8 +468,9 @@ def supersaturation_experiment(
     budget (1 + (k-3)/(k-2) + 2*eps) * C(n,2) and count rainbow K_k exactly.
     Returns the rows (n, e+c, count) and the least-squares slope of
     log(count) against log(n)."""
-    if not 3 <= k <= 6:
-        raise ValueError(f"experiment supports k in 3..6, got k={k}")
+    _check_int("k", k, 3, 6)
+    for n in ns:
+        _check_int("n", n, 2)
     if not (isfinite(eps) and eps > 0):
         raise ValueError(f"need a finite eps > 0, got {eps}")
     if len(set(ns)) < 2:

@@ -276,10 +276,11 @@ class TestInducedSubgraph:
 
     @pytest.mark.parametrize("keep, v", [
         ([1, 5], 5), ([0, 2], 0), ([1, 2.5, 3], 2.5), ([True, 2, 3], True), ([1, 2.0, 3], 2.0),
+        (["a", 2], "a"),
     ])
     def test_out_of_range_keep(self, keep, v):
         # [1, 2.5, 3] once gave K3 with 2.5 as an isolated vertex 2, and
-        # [True, 2, 3] a triangle on 1, 2, 3
+        # [True, 2, 3] a triangle on 1, 2, 3; ["a", 2] failed in the sort
         with pytest.raises(ValueError, match=rf"^vertex out of range in keep set: {v}$"):
             induced_subgraph(lexicographic(4), keep)
 
@@ -326,8 +327,8 @@ class TestSaturation:
 
 class TestConstruction:
     @pytest.mark.parametrize("n, colors, message", [
-        (0, {}, "vertex count must be positive, got 0"),
-        (-1, {}, "vertex count must be positive, got -1"),
+        (0, {}, "vertex count must be >= 1, got 0"),
+        (-1, {}, "vertex count must be >= 1, got -1"),
         (3, {(2, 1): 1}, r"bad edge \(2,1\) for n=3"),
         (3, {(1, 4): 1}, r"bad edge \(1,4\) for n=3"),
         (3, {(1, 2): 0}, r"nonpositive color 0 on edge \(1,2\)"),

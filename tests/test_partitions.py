@@ -55,9 +55,9 @@ class TestStirling:
         assert stirling2(1500, 2) == 2**1499 - 1
 
     def test_negative_counts_are_rejected(self):
-        with pytest.raises(ValueError, match="m >= 0"):
+        with pytest.raises(ValueError, match="m must be >= 0, got -1"):
             stirling2(-1, 0)
-        with pytest.raises(ValueError, match="m >= 0"):
+        with pytest.raises(ValueError, match="m must be >= 0, got -1"):
             completions(-1, 0, 3)
 
     def test_bell(self):

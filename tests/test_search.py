@@ -303,7 +303,7 @@ class TestCountRainbowCliques:
 
     def test_limit_must_be_positive(self):
         g = rainbow_complete(4)
-        with pytest.raises(ValueError, match="limit must be positive"):
+        with pytest.raises(ValueError, match="limit must be >= 1, got 0"):
             _rainbow_cliques(g.adj, g.color_matrix, 3, 0)
 
     @staticmethod

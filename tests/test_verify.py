@@ -510,6 +510,11 @@ class TestReportFormat:
         report = VerificationReport("x", 1, [], 0.0)
         assert parse_report(format_report(report)).ok
 
+    @pytest.mark.parametrize("text", ["", "LEMMAS x SPACE 1 CE 0 TIME 0"])
+    def test_report_must_start_with_a_lemma_line(self, text):
+        with pytest.raises(ValueError, match="^report must start with a LEMMA line$"):
+            parse_report(text)
+
     def test_missing_counterexample_block_names_the_line(self):
         with pytest.raises(ValueError, match="^line 2: report ends before counterexample 1"):
             parse_report("LEMMA x SPACE 1 CE 1 TIME 0")
