@@ -81,8 +81,8 @@ _G = extremal(6, 4)
 
 # name: (call with the value in place, argument name, values that are no
 # int, out-of-range ints).  Each no-int list holds True and a float equal to
-# a valid value: such a value was once read as another size, or failed later
-# with a message that named no argument; 3.5 and 2.5 once returned None.
+# a valid value: unchecked, such a value is read as another size, or fails
+# later with a message that names no argument; 3.5 and 2.5 return None.
 _INT_ARGUMENTS = {
     "ColoredGraph-n": (lambda v: ColoredGraph(v, {}), "vertex count", [True, 3.0], [0]),
     "extremal-n": (lambda v: extremal(v, 4), "n", [True, 6.0], [1]),
