@@ -123,6 +123,7 @@ def perturb_fresh_colors(g: ColoredGraph, target_ec: int, seed: int) -> ColoredG
     """Recolor uniformly random (seeded) edges of monochromatic classes with
     fresh distinct colors until e(G)+c(G) >= target_ec.  The edge set never
     changes and the result is deterministic for a fixed seed."""
+    _check_int("target_ec", target_ec, 0)
     if not is_complete(g):
         raise ValueError("perturbation requires a complete host graph")
     # a target above 2e >= e+c passes the next test, and _recolor_fresh rejects it

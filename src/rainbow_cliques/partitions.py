@@ -40,6 +40,7 @@ def completions(m: int, lo: int, hi: int) -> int:
 def stirling2(m: int, r: int) -> int:
     """Stirling number of the second kind S(m, r): set partitions of m
     elements into exactly r blocks."""
+    _check_int("r", r, 0)
     return completions(m, r, r)
 
 

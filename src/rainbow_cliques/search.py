@@ -208,9 +208,16 @@ def count_rainbow_cliques(g: ColoredGraph, k: int) -> int:
     at = _color_nbhds(g)
     nbytes = (n + 9) // 8
     width = 8 * nbytes
-    # D, and the k = 3 count's R, in closed form as geometric series: one
-    # division each instead of n + 1 shifts, about 6x faster at n = 24
+    # D in closed form as a geometric series: one division instead of n + 1
+    # shifts, about 6x faster at n = 24
     D = ((1 << (n + 1) * width) - 1) // ((1 << width) - 1)
+    # R[t] is R cut to its first t terms, all that a C below 2^t needs
+    R = [0]
+    for t in range(n + 1):
+        R.append(R[-1] | 1 << t * (width - 1))
+
+    def square(m: int) -> int:
+        return ((m * R[m.bit_length()]) & D) * m
 
     def pack(masks) -> int:  # mask i in block i
         return int.from_bytes(b"".join(m.to_bytes(nbytes, "little") for m in masks), "little")
@@ -223,17 +230,14 @@ def count_rainbow_cliques(g: ColoredGraph, k: int) -> int:
             a = A[c] = pack(x.get(c, 0) for x in at)
         return a
 
-    if k == 3:
-        # T - (p/2 - q/3), as in the docstring; Rn is R with all n + 1
-        # terms, and ((C*Rn) & D)*C is square(C)
-        Rn = ((1 << (n + 1) * (width - 1)) - 1) // ((1 << width - 1) - 1)
+    if k == 3:  # T - (p/2 - q/3), as in the docstring
         ADJ = pack(adj)
         p = q = t = 0
         for nx, ax in zip(adj, at):
-            t += (((nx * Rn) & D) * nx & ADJ).bit_count()
+            t += (square(nx) & ADJ).bit_count()
             for c, s in ax.items():
                 if s.bit_count() >= _PACKED_CLASS:
-                    sq = ((s * Rn) & D) * s
+                    sq = square(s)
                     p += (sq & ADJ).bit_count()
                     q += (sq & packed(c)).bit_count()
                 elif s & (s - 1):
@@ -256,14 +260,7 @@ def count_rainbow_cliques(g: ColoredGraph, k: int) -> int:
             shared[v][u] = tuple(both)
 
     cm = g.color_matrix
-    # R[t] is R cut to its first t terms, all that a C below 2^t needs
-    R = [0]
-    for t in range(n + 1):
-        R.append(R[-1] | 1 << t * (width - 1))
     G = [pack(row) for row in good]
-
-    def square(m: int) -> int:
-        return ((m * R[m.bit_length()]) & D) * m
 
     def pairs(clique: list[int], used: list[int], cand: int, live: int) -> int:
         """The pairs of `cand` that finish `clique` (colors `used`) to a
@@ -349,7 +346,6 @@ def find_rainbow_turan(g: ColoredGraph, r: int) -> Witness | None:
     part holding the least unplaced vertex first, larger sizes before
     smaller ones, members in `combinations` order), so the witness lists
     its parts by their smallest vertex."""
-    _check_int("part count", r, 1, g.n)
     splits = _balanced_partitions(g.n, turan_partition(g.n, r))
     return _first_rainbow_split(g, "rainbow-turan", splits)
 
@@ -369,17 +365,21 @@ def _mono_extend(at, cm, path: list[int], nverts: int, closed: bool, c: int, see
     return False
 
 
-def _mono_walk(g: ColoredGraph, nverts: int, closed: bool) -> list[int] | None:
-    """Lexicographically first walk on `nverts` distinct vertices whose edges
-    all share one color, or None.  With `closed` it is a cycle: the closing
-    edge has that color too and the first vertex is the smallest.  The
-    reverse of a hit is a hit, so the first one found has its second vertex
-    below its last (cycle) or its first endpoint below its last (path).
-    Past its first edge a walk reads N_c, which has no color on one edge.
-    So a walk on three or more vertices starts only on an edge whose color
-    is on two or more edges: the neighbours in the start's N_c masks, which are
-    disjoint, so their sum is their union.  A path on two vertices tries
-    every edge at its start, in the same increasing order."""
+def _mono_walk(g: ColoredGraph, kind: str, nverts: int) -> Witness | None:
+    """The `kind` witness on the lexicographically first walk on `nverts`
+    distinct vertices whose edges all share one color, or None.  A mono-cycle
+    walk is closed: the closing edge has that color too and the first vertex
+    is the smallest.  The reverse of a hit is a hit, so the first one found
+    has its second vertex below its last (cycle) or its first endpoint below
+    its last (path).  Past its first edge a walk reads N_c, which has no
+    color on one edge.  So a walk on three or more vertices starts only on an
+    edge whose color is on two or more edges: the neighbours in the start's
+    N_c masks, which are disjoint, so their sum is their union.  A path on
+    two vertices tries every edge at its start, in the same increasing
+    order."""
+    if nverts > g.n:
+        return None
+    closed = kind == "mono-cycle"
     cm = g.color_matrix
     at = _color_nbhds(g)
     for start in range(1, g.n + 1):
@@ -389,7 +389,7 @@ def _mono_walk(g: ColoredGraph, nverts: int, closed: bool) -> list[int] | None:
         for v in _iter_bits(first & ~seen):
             path = [start, v]
             if _mono_extend(at, cm, path, nverts, closed, cm[start][v], seen | 1 << v):
-                return path
+                return _witness(g, kind, path)
     return None
 
 
@@ -398,20 +398,14 @@ def find_monochromatic_cycle(g: ColoredGraph, length: int) -> Witness | None:
     or None.  Canonical orientation: smallest vertex first, second vertex
     smaller than the last."""
     _check_int("cycle length", length, 3)
-    if length > g.n:
-        return None
-    found = _mono_walk(g, length, True)
-    return None if found is None else _witness(g, "mono-cycle", found)
+    return _mono_walk(g, "mono-cycle", length)
 
 
 def find_monochromatic_path(g: ColoredGraph, nverts: int) -> Witness | None:
     """A path on `nverts` distinct vertices with all edges one color, or None.
     Canonical orientation: first endpoint smaller than the last."""
     _check_int("nverts", nverts, 2)
-    if nverts > g.n:
-        return None
-    found = _mono_walk(g, nverts, False)
-    return None if found is None else _witness(g, "mono-path", found)
+    return _mono_walk(g, "mono-path", nverts)
 
 
 def find_properly_colored_c4(g: ColoredGraph) -> Witness | None:

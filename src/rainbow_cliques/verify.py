@@ -369,6 +369,7 @@ def verify_k9_reduction() -> VerificationReport:
 def verify_saturation_solutions(c_total: int, lo: int, hi: int) -> list[tuple[int, int, int]]:
     """All nonnegative integer triples (c2, c1, c0) with c2+c1+c0 = c_total
     and lo <= 2*c2+c1 <= hi, sorted descending by c2 then c1."""
+    _check_int("c_total", c_total, 0)
     if lo > hi:
         raise ValueError(f"need lo <= hi, got lo={lo}, hi={hi}")
     out = []

@@ -19,11 +19,13 @@ from rainbow_cliques import (
     find_rainbow_complete_bipartite,
     find_rainbow_turan,
     lexicographic,
+    perturb_fresh_colors,
     stirling2,
     supersaturation_experiment,
     thresholds,
     turan_number,
     turan_partition,
+    verify_saturation_solutions,
     verify_tightness,
     verify_triangle_threshold,
 )
@@ -95,6 +97,7 @@ _INT_ARGUMENTS = {
     "thresholds-n": (lambda v: thresholds(v, 4), "n", [True, 5.0], [-1]),
     "thresholds-k": (lambda v: thresholds(5, v), "k", [True, 4.0], [2]),
     "stirling2-m": (lambda v: stirling2(v, 1), "m", [True, 3.0], [-1]),
+    "stirling2-r": (lambda v: stirling2(3, v), "r", [True, 2.0], [-1]),
     "find_rainbow_clique-k": (
         lambda v: find_rainbow_clique(_G, v), "clique size", [True, 3.0], [0]),
     "count_rainbow_cliques-k": (
@@ -120,6 +123,10 @@ _INT_ARGUMENTS = {
         lambda v: supersaturation_experiment(v, [10, 12], 0.1, 1), "k", [True, 3.0], [2, 7]),
     "supersaturation_experiment-n": (
         lambda v: supersaturation_experiment(3, [10, v], 0.1, 1), "n", [True, 12.0], [1]),
+    "verify_saturation_solutions-c_total": (
+        lambda v: verify_saturation_solutions(v, 0, 2), "c_total", [True, 2.0], [-1]),
+    "perturb_fresh_colors-target_ec": (
+        lambda v: perturb_fresh_colors(_G, v, 1), "target_ec", [True, 30.0], [-1]),
 }
 
 
